@@ -1,5 +1,7 @@
 """The experiment harness: seeded sweeps over (trial, n, solver) cells."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,29 @@ class TestCsvAndSidecar:
         assert doc["master_seed"] == 7
         assert "seed_mixing" in doc
         assert doc["total_wall_time_s"] >= 0
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_CONFIGS = {
+    "sweep_spiked.csv": dict(model="spiked", beta=2.0),
+    "sweep_spectrum.csv": dict(model="spectrum", spectrum_exponent=-0.5),
+}
+
+
+class TestGoldenCsv:
+    """Sweep CSVs pinned byte for byte across commits: the float formatting,
+    the lexicographic tie-breaks and the seed streams of every solver.
+
+    The files were written by ``write_sweep_csv(run_sweep(cfg)[0], path)``
+    with the configs below; rewrite them only for a change that is meant to
+    alter sweep output, and say so in CHANGES.md."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_matches_golden_bytes(self, name, tmp_path):
+        cfg = small_cfg(restarts=2, trials=1, **GOLDEN_CONFIGS[name])
+        out = tmp_path / name
+        write_sweep_csv(run_sweep(cfg)[0], out)
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 class TestConfigFiles:
