@@ -8,8 +8,9 @@ from .graph import (UNBOUND, Dag, GraphStructureError, Path, ValidationReport,
                     validate)
 from .projection import (ProjectedVector, WeightedPathResult,
                          longest_weighted_path, project)
-from .data import (NumericError, SpikedModelParams, covariance_with_spectrum,
-                   empirical_covariance, gaussian_sampler, low_rank_factor,
+from .data import (Covariance, NumericError, SpikedModelParams,
+                   covariance_with_spectrum, empirical_covariance,
+                   gaussian_sampler, low_rank_factor, prepare_covariance,
                    random_path_vector, sample_spiked, seed_key)
 from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
                       brute_force_solve, budget_for_epsilon,
@@ -31,9 +32,10 @@ __all__ = [
     "build_group_graph", "build_layer_graph", "count_paths", "enumerate_paths",
     "is_st_path", "make_path", "topological_order", "validate",
     "ProjectedVector", "WeightedPathResult", "longest_weighted_path", "project",
-    "NumericError", "SpikedModelParams", "covariance_with_spectrum",
-    "empirical_covariance", "gaussian_sampler", "low_rank_factor",
-    "random_path_vector", "sample_spiked", "seed_key",
+    "Covariance", "NumericError", "SpikedModelParams",
+    "covariance_with_spectrum", "empirical_covariance", "gaussian_sampler",
+    "low_rank_factor", "prepare_covariance", "random_path_vector",
+    "sample_spiked", "seed_key",
     "EstimateResult", "PowerMethodConfig", "SampleProjectConfig",
     "brute_force_solve", "budget_for_epsilon", "graph_truncated_power",
     "sample_and_project", "sparse_truncated_power",

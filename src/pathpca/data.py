@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag, GraphStructureError, Path, make_path
+from .graph import (Dag, GraphStructureError, Path, _ways_to_terminal,
+                    make_path)
 
 
 class NumericError(RuntimeError):
@@ -86,7 +87,37 @@ def empirical_covariance(samples: np.ndarray) -> np.ndarray:
     return (c + c.T) * 0.5
 
 
-def _symmetric_eigh(sigma: np.ndarray, dim: int | None = None):
+@dataclass(frozen=True)
+class Covariance:
+    """A validated covariance: the symmetrized matrix and its eigenpairs
+    (ascending eigenvalues, as ``np.linalg.eigh`` returns them).
+
+    Built by ``prepare_covariance``; the arrays are read-only so that one
+    prepared value can be shared by every solver and start of a sweep cell.
+    """
+
+    matrix: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.evals.size
+
+
+def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
+    """Validate and decompose a covariance once; a Covariance passes through.
+
+    Checks that sigma is square (and ``dim``-dimensional when given), finite,
+    symmetric to 1e-8 relative to its largest entry, and positive
+    semidefinite: the smallest eigenvalue may fall below zero by at most
+    1e-8 * max(1, largest eigenvalue). Raises ValueError for a wrong shape
+    and NumericError for the rest.
+    """
+    if isinstance(sigma, Covariance):
+        if dim is not None and sigma.dim != dim:
+            raise ValueError(f"covariance is {sigma.dim}-dimensional, expected {dim}")
+        return sigma
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("covariance must be a square matrix")
@@ -102,28 +133,29 @@ def _symmetric_eigh(sigma: np.ndarray, dim: int | None = None):
         evals, evecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return s, evals, evecs
+    if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
+        raise NumericError("covariance must be positive semidefinite")
+    for a in (s, evals, evecs):
+        a.flags.writeable = False
+    return Covariance(s, evals, evecs)
 
 
-def low_rank_factor(sigma: np.ndarray, rank: int) -> np.ndarray:
+def low_rank_factor(sigma: np.ndarray | Covariance, rank: int) -> np.ndarray:
     """Factor V with columns sqrt(lambda_i) q_i for the top ``rank`` eigenpairs.
 
     V V^T is the best rank-``rank`` approximation of sigma; columns are
     orthogonal with nonincreasing norms. Each eigenvector's sign is fixed so
     its largest-magnitude entry is positive (first such entry on ties).
-    Eigenvalues that should be zero but come out slightly negative (within
-    1e-8 of the top one, in relative terms) are clamped; anything more
-    negative is rejected.
+    sigma may be a raw matrix or a Covariance; ``prepare_covariance`` rejects
+    non-PSD input, and eigenvalues that are zero but come out slightly
+    negative are clamped.
     """
-    _, evals, evecs = _symmetric_eigh(sigma)
-    p = evals.size
+    cov = prepare_covariance(sigma)
+    p = cov.dim
     if not (1 <= rank <= p):
         raise ValueError(f"rank must be in 1..{p}")
-    lam = evals[::-1][:rank].copy()
-    q = evecs[:, ::-1][:, :rank].copy()
-    top = max(1.0, float(lam[0]))
-    if lam[-1] < -1e-8 * top:
-        raise NumericError("covariance is not positive semidefinite")
+    lam = cov.evals[::-1][:rank].copy()
+    q = cov.evecs[:, ::-1][:, :rank].copy()
     np.clip(lam, 0.0, None, out=lam)
     flip = q[np.argmax(np.abs(q), axis=0), np.arange(rank)] < 0
     q[:, flip] *= -1.0
@@ -166,20 +198,19 @@ def covariance_with_spectrum(x_star: np.ndarray, spectrum) -> np.ndarray:
     return (sigma + sigma.T) * 0.5
 
 
-def gaussian_sampler(sigma: np.ndarray, n: int, seed=0) -> np.ndarray:
+def gaussian_sampler(sigma: np.ndarray | Covariance, n: int, seed=0) -> np.ndarray:
     """Draw n columns i.i.d. N(0, sigma) via the symmetric matrix square root.
 
     Column streams are keyed the same way as in ``sample_spiked``; with
     sigma = I this matches the spiked sampler at beta = 0 in distribution.
+    sigma may be a raw matrix or a Covariance.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _, evals, evecs = _symmetric_eigh(sigma)
-    top = max(1.0, float(evals[-1]))
-    if evals[0] < -1e-8 * top:
-        raise NumericError("covariance is not positive semidefinite")
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    p = evals.size
+    cov = prepare_covariance(sigma)
+    evecs = cov.evecs
+    root = (evecs * np.sqrt(np.clip(cov.evals, 0.0, None))) @ evecs.T
+    p = cov.dim
     key = seed_key(seed)
     g = np.empty((p, n))
     for i in range(n):
@@ -194,17 +225,8 @@ def random_path_vector(dag: Dag, seed=0) -> tuple[np.ndarray, Path]:
     their exact path counts to the terminal); loadings are standard normal on
     the path's bound variables, in ascending variable order, normalized.
     """
-    n = dag.vertex_count
-    levels, acyclic = dag._level_info()
-    if not acyclic:
-        raise GraphStructureError("graph contains a cycle")
-    ways = [0] * n
-    ways[dag.terminal] = 1
-    for v in np.argsort(-levels, kind="stable").tolist():
-        if v != dag.terminal:
-            ways[v] = sum(ways[u] for u in dag.out_neighbors(v).tolist())
-    total = ways[dag.source]
-    if total == 0:
+    ways = _ways_to_terminal(dag)
+    if ways[dag.source] == 0:
         raise GraphStructureError("no path from source to terminal")
 
     rng = np.random.default_rng(seed_key(seed))

@@ -320,20 +320,24 @@ def topological_order(dag: Dag) -> np.ndarray:
     return np.asarray(order, dtype=np.int64)
 
 
-def count_paths(dag: Dag) -> int:
-    """Exact number of S-T paths (Python integers, so never overflows)."""
+def _ways_to_terminal(dag: Dag) -> list[int]:
+    """ways[v] = exact number of paths from v to the terminal, as Python
+    integers (so never overflowing), filled in reverse level order."""
     levels, acyclic = dag._level_info()
     if not acyclic:
         raise GraphStructureError("graph contains a cycle")
     ways = [0] * dag.vertex_count
-    ways[dag.source] = 1
+    ways[dag.terminal] = 1
     indptr, nbrs = dag._out_indptr, dag._out_indices
-    for u in np.argsort(levels, kind="stable").tolist():
-        wu = ways[u]
-        if wu:
-            for v in nbrs[indptr[u]:indptr[u + 1]].tolist():
-                ways[v] += wu
-    return ways[dag.terminal]
+    for v in np.argsort(-levels, kind="stable").tolist():
+        if v != dag.terminal:
+            ways[v] = sum(ways[u] for u in nbrs[indptr[v]:indptr[v + 1]].tolist())
+    return ways
+
+
+def count_paths(dag: Dag) -> int:
+    """Exact number of S-T paths (Python integers, so never overflows)."""
+    return _ways_to_terminal(dag)[dag.source]
 
 
 def make_path(dag: Dag, vertices, check: bool = True) -> Path:

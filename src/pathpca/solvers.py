@@ -15,17 +15,21 @@ Two heuristics and one exact reference:
 
 ``sparse_truncated_power`` is the unstructured k-sparse baseline: the same
 iteration with hard thresholding to the top-k magnitudes in place of the
-path projection.
+path projection; both power methods run one loop, ``_truncated_power``.
+
+Every solver, brute force included, validates sigma through
+``prepare_covariance`` and so rejects non-PSD input. Passing the prepared
+``Covariance`` lets several solvers and starts share one eigendecomposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import NumericError, _symmetric_eigh, low_rank_factor, seed_key
+from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, Path, enumerate_paths
 from .projection import ProjectedVector, project
 
@@ -82,93 +86,88 @@ class EstimateResult:
     iterates: list[ProjectedVector] | None = None
 
 
-def _covariance(sigma, dim=None) -> np.ndarray:
-    s, _, _ = _symmetric_eigh(sigma, dim)
-    return s
-
-
-def _require_psd(sigma: np.ndarray):
-    evals = np.linalg.eigvalsh(sigma)
-    if evals[0] < -1e-8 * max(1.0, float(evals[-1]), float(abs(evals[0]))):
-        raise NumericError("covariance must be positive semidefinite")
-
-
 def _rayleigh(sigma: np.ndarray, x: np.ndarray) -> float:
     return float(x @ sigma @ x)
 
 
-def graph_truncated_power(sigma: np.ndarray, dag: Dag,
+def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
+    """Truncated power iteration x <- step(s @ x) for both power methods.
+
+    ``step(w)`` returns ``(x, support, item)``: the feasible unit vector
+    nearest w, the support the stopping rule compares, and an item returned
+    for the best iterate. A "diag" or "random" start is stepped and counts
+    in the trace; an explicit start is used as-is for the first multiply.
+    Stops when the iterate moves less than ``tol``, when the support has been
+    stable for two consecutive steps with objective change at most ``tol``,
+    or at ``max_iters``. Returns the best iterate (first on ties) as a result
+    with ``path=None``, its item, and every item in order.
+    """
+    cfg = cfg if cfg is not None else PowerMethodConfig()
+    p = s.shape[0]
+    if isinstance(cfg.init, str):
+        if cfg.init == "diag":
+            w = s[:, int(np.argmax(np.diag(s)))]
+        else:
+            w = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(p)
+        x, sup, item = step(w)
+        obj = _rayleigh(s, x)
+        trace, items = [obj], [item]
+        best_x, best_obj, best_item, prev_sup = x, obj, item, sup
+    else:
+        x = np.asarray(cfg.init, dtype=float)
+        if x.shape != (p,):
+            raise ValueError(f"start vector must have length {p}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("start vector must be finite")
+        trace, items = [], []
+        best_x, best_obj, best_item, prev_sup = None, -np.inf, None, None
+
+    stable = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        nxt, sup, item = step(s @ x)
+        obj = _rayleigh(s, nxt)
+        trace.append(obj)
+        items.append(item)
+        if best_x is None or obj > best_obj:
+            best_x, best_obj, best_item = nxt, obj, item
+        moved = float(np.linalg.norm(nxt - x))
+        if prev_sup is not None and sup == prev_sup and abs(obj - trace[-2]) <= cfg.tol:
+            stable += 1
+        else:
+            stable = 0
+        x, prev_sup = nxt, sup
+        if moved <= cfg.tol or stable >= 2:
+            break
+    res = EstimateResult(x=best_x, path=None, objective=best_obj,
+                         iterations=iterations, trace=trace)
+    return res, best_item, items
+
+
+def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
                           config: PowerMethodConfig | None = None,
                           record_iterates: bool = False) -> EstimateResult:
     """Maximize x^T sigma x over path-supported unit vectors, iteratively.
 
-    Each step projects sigma @ x back onto the feasible set. Stops when the
-    iterate moves less than ``tol``, when the support has been stable for two
-    consecutive steps with objective change at most ``tol``, or at
-    ``max_iters``. Returns the best-objective iterate seen, which the
-    nondecreasing trace makes the last one in exact arithmetic.
+    Each step projects sigma @ x back onto the feasible set; start handling
+    and stopping rules are those of ``_truncated_power``. Returns the
+    best-objective iterate seen, which the nondecreasing trace makes the last
+    one in exact arithmetic. With ``record_iterates`` the result also lists
+    every projected iterate.
 
     Requires PSD input; that is what makes the trace monotone.
     """
-    cfg = config if config is not None else PowerMethodConfig()
-    s = _covariance(sigma, dag.dim)
-    _require_psd(s)
+    s = prepare_covariance(sigma, dag.dim).matrix
 
-    if isinstance(cfg.init, str):
-        if cfg.init == "diag":
-            col = int(np.argmax(np.diag(s)))
-            start = project(dag, s[:, col])
-        else:
-            g = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(dag.dim)
-            start = project(dag, g)
-        x = start.x
-    else:
-        x = np.asarray(cfg.init, dtype=float)
-        if x.shape != (dag.dim,):
-            raise ValueError(f"start vector must have length {dag.dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("start vector must be finite")
-        start = None
+    def step(w):
+        pv = project(dag, w)
+        return pv.x, pv.path.support, pv
 
-    trace: list[float] = []
-    iterates: list[ProjectedVector] = []
-    best: ProjectedVector | None = None
-    best_obj = -np.inf
-    prev: ProjectedVector | None = None
-    if start is not None:
-        obj = _rayleigh(s, start.x)
-        trace.append(obj)
-        iterates.append(start)
-        best, best_obj = start, obj
-        prev = start
-
-    stable = 0
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        pv = project(dag, s @ x)
-        obj = _rayleigh(s, pv.x)
-        trace.append(obj)
-        iterates.append(pv)
-        if best is None or obj > best_obj:
-            best, best_obj = pv, obj
-        step = float(np.linalg.norm(pv.x - x))
-        if prev is not None and pv.path.support == prev.path.support \
-                and abs(obj - trace[-2]) <= cfg.tol:
-            stable += 1
-        else:
-            stable = 0
-        if step <= cfg.tol or stable >= 2:
-            x = pv.x
-            break
-        x = pv.x
-        prev = pv
-
-    return EstimateResult(x=best.x, path=best.path, objective=best_obj,
-                          iterations=iterations, trace=trace,
-                          iterates=iterates if record_iterates else None)
+    res, best, iterates = _truncated_power(s, step, config)
+    return replace(res, path=best.path,
+                   iterates=iterates if record_iterates else None)
 
 
-def sample_and_project(sigma: np.ndarray, dag: Dag,
+def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                        config: SampleProjectConfig) -> EstimateResult:
     """Rank-r sample-and-project: project random top-eigenspace directions.
 
@@ -180,11 +179,8 @@ def sample_and_project(sigma: np.ndarray, dag: Dag,
     With rank=1 every candidate equals project(dag, v_1), so the budget is
     irrelevant. The trace records each candidate's ||V^T x||^2.
     """
-    s = _covariance(sigma, dag.dim)
-    _require_psd(s)
-    if config.rank > dag.dim:
-        raise ValueError(f"rank must be at most the dimension {dag.dim}")
-    v = low_rank_factor(s, config.rank)
+    cov = prepare_covariance(sigma, dag.dim)
+    v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
     key = seed_key(config.seed)
 
     best: ProjectedVector | None = None
@@ -207,7 +203,7 @@ def sample_and_project(sigma: np.ndarray, dag: Dag,
         if best is None or ro > best_ro:
             best, best_ro = pv, ro
     return EstimateResult(x=best.x, path=best.path,
-                          objective=_rayleigh(s, best.x),
+                          objective=_rayleigh(cov.matrix, best.x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
 
@@ -222,14 +218,15 @@ def budget_for_epsilon(epsilon: float, rank: int, p: int) -> int:
     return int(math.ceil((2.0 / epsilon) ** rank * math.log(p)))
 
 
-def brute_force_solve(sigma: np.ndarray, dag: Dag, cap: int = 10000) -> EstimateResult:
+def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
+                      cap: int = 10000) -> EstimateResult:
     """Exact maximizer by path enumeration: the leading eigenpair of the
     principal submatrix of each path's support, best path kept (ties go to
     the lexicographically first path). Refuses graphs with more than ``cap``
     paths. The trace holds each path's leading eigenvalue, in enumeration
     order; the eigenvector sign makes its largest-magnitude entry positive.
     """
-    s = _covariance(sigma, dag.dim)
+    s = prepare_covariance(sigma, dag.dim).matrix
     paths = enumerate_paths(dag, cap)
     best_path: Path | None = None
     best_obj = -np.inf
@@ -272,65 +269,22 @@ def _top_k_unit(w: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def sparse_truncated_power(sigma: np.ndarray, k: int,
+def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
                            config: PowerMethodConfig | None = None) -> EstimateResult:
     """k-sparse truncated power baseline: thresholding instead of a graph.
 
-    Same iteration and stopping rules as ``graph_truncated_power`` with the
-    projection replaced by keep-top-k-and-normalize; the diag init keeps the
-    top k entries of the max-diagonal column. The result has ``path=None``;
-    its support is any k coordinates. With k = p this is plain power
-    iteration.
+    Same loop as ``graph_truncated_power`` with the projection replaced by
+    keep-top-k-and-normalize; the diag init keeps the top k entries of the
+    max-diagonal column. The result has ``path=None``; its support is any k
+    coordinates. With k = p this is plain power iteration.
     """
-    cfg = config if config is not None else PowerMethodConfig()
-    s = _covariance(sigma)
-    _require_psd(s)
+    s = prepare_covariance(sigma).matrix
     p = s.shape[0]
     if not (1 <= k <= p):
         raise ValueError(f"k must be in 1..{p}")
 
-    if isinstance(cfg.init, str):
-        if cfg.init == "diag":
-            col = int(np.argmax(np.diag(s)))
-            x = _top_k_unit(s[:, col], k)
-        else:
-            g = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(p)
-            x = _top_k_unit(g, k)
-        started_feasible = True
-    else:
-        x = np.asarray(cfg.init, dtype=float)
-        if x.shape != (p,):
-            raise ValueError(f"start vector must have length {p}")
-        started_feasible = False
+    def step(w):
+        x = _top_k_unit(w, k)
+        return x, frozenset(np.flatnonzero(x != 0.0).tolist()), None
 
-    trace: list[float] = []
-    best_x = None
-    best_obj = -np.inf
-    prev_sup: frozenset[int] | None = None
-    if started_feasible:
-        obj = _rayleigh(s, x)
-        trace.append(obj)
-        best_x, best_obj = x, obj
-        prev_sup = frozenset(np.flatnonzero(x != 0.0).tolist())
-
-    stable = 0
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        nxt = _top_k_unit(s @ x, k)
-        obj = _rayleigh(s, nxt)
-        trace.append(obj)
-        if best_x is None or obj > best_obj:
-            best_x, best_obj = nxt, obj
-        sup = frozenset(np.flatnonzero(nxt != 0.0).tolist())
-        step = float(np.linalg.norm(nxt - x))
-        if prev_sup is not None and sup == prev_sup and abs(obj - trace[-2]) <= cfg.tol:
-            stable += 1
-        else:
-            stable = 0
-        x = nxt
-        if step <= cfg.tol or stable >= 2:
-            break
-        prev_sup = sup
-
-    return EstimateResult(x=best_x, path=None, objective=best_obj,
-                          iterations=iterations, trace=trace)
+    return _truncated_power(s, step, config)[0]

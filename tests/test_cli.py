@@ -146,6 +146,19 @@ class TestSolve:
         assert code == 4
         assert "numeric" in err
 
+    def test_brute_non_psd_exits_4(self, tmp_path, capsys):
+        g = tmp_path / "diamond.txt"
+        g.write_text("p=4 source=0 terminal=3\n"
+                     "edge 0 1\nedge 0 2\nedge 1 3\nedge 2 3\n"
+                     "bind 0 0\nbind 1 1\nbind 2 2\nbind 3 3\n")
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.diag([1.0, -5.0, -3.0, 1.0]), f)
+        code, out, err = run(capsys, "solve", "--graph", str(g), "--data", str(f),
+                             "--solver", "brute")
+        assert code == 4
+        assert out == ""
+        assert "positive semidefinite" in err
+
     def test_non_finite_exits_4(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"

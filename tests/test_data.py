@@ -13,6 +13,7 @@ from pathpca import (
     gaussian_sampler,
     is_st_path,
     low_rank_factor,
+    prepare_covariance,
     random_path_vector,
     sample_spiked,
 )
@@ -156,6 +157,8 @@ class TestLowRankFactor:
     def test_rejects_indefinite_and_bad_rank(self):
         with pytest.raises(NumericError):
             low_rank_factor(np.diag([1.0, -0.5]), 2)
+        with pytest.raises(NumericError):  # the dropped eigenvalue is checked too
+            low_rank_factor(np.diag([1.0, -0.5]), 1)
         with pytest.raises(NumericError):
             low_rank_factor(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)  # asymmetric
         s = np.eye(3)
@@ -163,6 +166,55 @@ class TestLowRankFactor:
             low_rank_factor(s, 0)
         with pytest.raises(ValueError):
             low_rank_factor(s, 4)
+
+
+class TestPrepareCovariance:
+    def test_symmetrizes_and_keeps_eigenpairs(self):
+        s = random_psd(5, np.random.default_rng(3))
+        s[0, 1] += 1e-12
+        cov = prepare_covariance(s, 5)
+        assert cov.dim == 5
+        assert np.array_equal(cov.matrix, cov.matrix.T)
+        np.testing.assert_allclose(
+            (cov.evecs * cov.evals) @ cov.evecs.T, cov.matrix, atol=1e-12)
+        assert np.all(np.diff(cov.evals) >= 0)
+        for a in (cov.matrix, cov.evals, cov.evecs):
+            assert not a.flags.writeable
+
+    def test_prepared_value_passes_through(self):
+        cov = prepare_covariance(np.eye(3))
+        assert prepare_covariance(cov) is cov
+        assert prepare_covariance(cov, 3) is cov
+        with pytest.raises(ValueError, match="expected 4"):
+            prepare_covariance(cov, 4)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            prepare_covariance(np.ones(3))
+        with pytest.raises(ValueError):
+            prepare_covariance(np.eye(3), 2)
+        with pytest.raises(NumericError):
+            prepare_covariance(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        with pytest.raises(NumericError):
+            prepare_covariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(NumericError, match="positive semidefinite"):
+            prepare_covariance(np.diag([1.0, -0.5]))
+
+    def test_psd_tolerance_is_relative_to_the_top_eigenvalue(self):
+        # slack is 1e-8 * max(1, lambda_max)
+        prepare_covariance(np.diag([100.0, -0.9e-6]))
+        prepare_covariance(np.diag([0.5, -0.9e-8]))
+        with pytest.raises(NumericError):
+            prepare_covariance(np.diag([100.0, -1.1e-6]))
+        with pytest.raises(NumericError):
+            prepare_covariance(np.diag([0.5, -1.1e-8]))
+
+    def test_samplers_accept_the_prepared_value(self):
+        s = random_psd(4, np.random.default_rng(5))
+        cov = prepare_covariance(s)
+        assert np.array_equal(low_rank_factor(cov, 2), low_rank_factor(s, 2))
+        assert np.array_equal(gaussian_sampler(cov, 3, seed=1),
+                              gaussian_sampler(s, 3, seed=1))
 
 
 class TestCovarianceWithSpectrum:

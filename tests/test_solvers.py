@@ -16,6 +16,7 @@ from pathpca import (
     enumerate_paths,
     graph_truncated_power,
     low_rank_factor,
+    prepare_covariance,
     project,
     random_path_vector,
     sample_and_project,
@@ -299,3 +300,32 @@ class TestSparseTruncatedPower:
             sparse_truncated_power(np.eye(3), k=0)
         with pytest.raises(ValueError):
             sparse_truncated_power(np.eye(3), k=4)
+
+    def test_rejects_non_finite_start(self):
+        with pytest.raises(ValueError, match="finite"):
+            sparse_truncated_power(np.eye(4), k=2, config=PowerMethodConfig(
+                init=np.array([np.nan, 1.0, 1.0, 1.0])))
+
+
+class TestPreparedCovariance:
+    def test_every_solver_matches_on_raw_and_prepared_input(self):
+        dag = build_layer_graph(12, 2, 5)
+        sigma = random_psd(12, np.random.default_rng(101))
+        cov = prepare_covariance(sigma, dag.dim)
+        runs = [
+            lambda s: graph_truncated_power(s, dag),
+            lambda s: graph_truncated_power(
+                s, dag, PowerMethodConfig(init="random", seed=(4, 1))),
+            lambda s: sample_and_project(s, dag, SampleProjectConfig(budget=20)),
+            lambda s: brute_force_solve(s, dag, cap=25),
+            lambda s: sparse_truncated_power(s, 3),
+        ]
+        for run in runs:
+            a, b = run(sigma), run(cov)
+            assert np.array_equal(a.x, b.x)
+            assert a.objective == b.objective
+            assert a.trace == b.trace
+
+    def test_brute_force_rejects_non_psd(self):
+        with pytest.raises(NumericError):
+            brute_force_solve(np.diag([1.0, -5.0, -3.0, 1.0]), diamond(), cap=10)

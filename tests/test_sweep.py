@@ -242,6 +242,10 @@ class TestCsvAndSidecar:
         assert doc["master_seed"] == 7
         assert "seed_mixing" in doc
         assert doc["total_wall_time_s"] >= 0
+        rows = doc["row_wall_time_s"]
+        assert len(rows) == len(records) == 4
+        assert all(t >= 0 for t in rows)
+        assert sum(rows) <= doc["total_wall_time_s"]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
