@@ -218,12 +218,33 @@ def gaussian_sampler(sigma: np.ndarray | Covariance, n: int, seed=0) -> np.ndarr
     return root @ g
 
 
+def _uniform_below(rng: np.random.Generator, tot: int) -> int:
+    """Exactly uniform integer in [0, tot) for any positive Python int.
+
+    Below 2^63 this is one ``rng.integers(tot)`` draw. Above, it is rejection
+    sampling: draw tot.bit_length() bits from 64-bit limbs of the same
+    generator, most significant limb first, until the value falls below tot
+    (each try succeeds with probability above 1/2).
+    """
+    if tot < 2**63:
+        return int(rng.integers(tot))
+    bits = tot.bit_length()
+    while True:
+        r = 0
+        for _ in range(-(-bits // 64)):
+            r = (r << 64) | int(rng.integers(2**64, dtype=np.uint64))
+        r >>= -bits % 64
+        if r < tot:
+            return r
+
+
 def random_path_vector(dag: Dag, seed=0) -> tuple[np.ndarray, Path]:
     """Unit vector supported on a uniformly random S-T path.
 
-    The path is drawn uniformly over all S-T paths (successors weighted by
-    their exact path counts to the terminal); loadings are standard normal on
-    the path's bound variables, in ascending variable order, normalized.
+    The path is drawn exactly uniformly over all S-T paths, at any path
+    count (successors weighted by their exact path counts to the terminal,
+    see ``_uniform_below``); loadings are standard normal on the path's bound
+    variables, in ascending variable order, normalized.
     """
     ways = _ways_to_terminal(dag)
     if ways[dag.source] == 0:
@@ -235,11 +256,7 @@ def random_path_vector(dag: Dag, seed=0) -> tuple[np.ndarray, Path]:
     while v != dag.terminal:
         nbrs = dag.out_neighbors(v).tolist()
         counts = [ways[u] for u in nbrs]
-        tot = sum(counts)
-        if tot < 2**63:
-            r = int(rng.integers(tot))
-        else:  # beyond exact integer draws; fine at experiment scale
-            r = int(rng.random() * tot)
+        r = _uniform_below(rng, sum(counts))
         acc = 0
         for u, c in zip(nbrs, counts):
             acc += c

@@ -9,7 +9,12 @@ best unit vector is the normalized restriction of w, with value ||w[path]||_2,
 so the winning path is the one with the largest restricted norm.
 
 The path search is a single longest-path pass over the DAG, linear in
-|V| + |E|.
+|V| + |E|, followed by a walk from the source that reads the path off the DP
+values. Both run on a (V, B) block of weight columns at once, which is how
+``solvers.sample_and_project`` projects its candidates; ``project`` and
+``longest_weighted_path`` are the B=1 case, on 1-D arrays. There is one DP
+and one walk, so single and batched projections agree bit for bit, tie-break
+included.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag, GraphStructureError, Path, make_path
+from .graph import UNBOUND, Dag, GraphStructureError, Path, make_path
 
 
 @dataclass(frozen=True)
@@ -39,39 +44,124 @@ class ProjectedVector:
     degenerate: bool = False
 
 
-def _vertex_weights(dag: Dag, w: np.ndarray) -> np.ndarray:
-    vw = np.zeros(dag.vertex_count)
-    vw[dag._bound_vertices] = w[dag._bound_vars]
-    return vw
+def _vertex_weights(dag: Dag, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-vertex weights of a (dim,) vector or (dim, B) block: the weight of
+    the bound variable, zero on unbound vertices. ``out`` must start zeroed."""
+    if out is None:
+        out = np.zeros((dag.vertex_count,) + w.shape[1:])
+    out[dag._bound_vertices] = w[dag._bound_vars]
+    return out
 
 
-def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
+def _best_to_terminal(dag: Dag, vw: np.ndarray, best: np.ndarray | None = None,
+                      gather: np.ndarray | None = None) -> np.ndarray:
     """best[v] = max over S-T-suffix paths starting at v of the summed vertex
-    weight, -inf where the terminal is unreachable."""
-    best = np.full(dag.vertex_count, -np.inf)
+    weight, -inf where the terminal is unreachable; per column of a (V, B)
+    block. ``best`` (V, B) and ``gather`` (largest level group's edge count,
+    B) are optional buffers to fill instead of allocating."""
+    if best is None:
+        best = np.empty(vw.shape)
+    best.fill(-np.inf)
     best[dag.terminal] = vw[dag.terminal]
     for ed, offs, src in dag._projection_plan():
-        m = np.maximum.reduceat(best[ed], offs)
-        best[src] = vw[src] + m
+        g = best[ed] if gather is None else np.take(best, ed, axis=0, out=gather[:ed.size])
+        best[src] = vw[src] + np.maximum.reduceat(g, offs, axis=0)
     return best
 
 
-def _walk(dag: Dag, best: np.ndarray) -> list[int]:
-    # Greedy descent through stored DP values. Taking the smallest successor
-    # that attains the max yields the lexicographically smallest maximizer.
-    v = dag.source
-    out = [v]
-    while v != dag.terminal:
-        nbrs = dag.out_neighbors(v)
-        if nbrs.size == 0:
-            raise GraphStructureError("terminal unreachable from source")
-        vals = best[nbrs]
-        top = vals.max()
-        if top == -np.inf:
-            raise GraphStructureError("terminal unreachable from source")
-        v = int(nbrs[np.flatnonzero(vals == top)[0]])
-        out.append(v)
-    return out
+def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
+    """Greedy descent through the DP values, every column of ``best`` at once.
+
+    Each step moves each column that has not reached the terminal to its
+    smallest out-neighbor attaining the largest ``best``; this yields the
+    lexicographically smallest maximizing path. Returns the vertex sequence
+    for a 1-D ``best``; for a (V, B) block, an (L, B) array whose column j is
+    path j padded with -1 after its terminal.
+    """
+    # A finite best[source] means every vertex the walk visits before the
+    # terminal has a successor with finite best, so the steps need no checks.
+    if (best[dag.source] == -np.inf).any():
+        raise GraphStructureError("terminal unreachable from source")
+    indptr, indices = dag._out_indptr, dag._out_indices
+    cols = best.shape[1] if best.ndim == 2 else 1
+    act = np.arange(cols)
+    cur = np.full(cols, dag.source, dtype=np.int64)
+    steps = []
+    while True:
+        done = cur == dag.terminal
+        if np.count_nonzero(done):
+            act, cur = act[~done], cur[~done]
+            if not act.size:
+                break
+        lo = indptr[cur]
+        cnt = indptr[cur + 1] - lo
+        ends = cnt.cumsum()
+        offs = ends - cnt
+        nb = indices[np.arange(ends[-1]) + np.repeat(lo - offs, cnt)]
+        vals = best[nb] if best.ndim == 1 else best[nb, np.repeat(act, cnt)]
+        hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, offs), cnt))
+        cur = nb[hit[np.searchsorted(hit, offs)]]
+        steps.append((act, cur))
+    out = np.full((len(steps) + 1, cols), -1, dtype=np.int64)
+    out[0] = dag.source
+    for row, (a, v) in enumerate(steps, 1):
+        out[row, a] = v
+    return out if best.ndim == 2 else out[:, 0]
+
+
+def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending bound variables of each path column of a ``_walk`` block:
+    returns (sup, counts), column j's support being ``sup[:counts[j], j]``."""
+    bind = np.where(verts >= 0, dag.binding[verts], UNBOUND)
+    pad = np.iinfo(np.int64).max
+    sup = np.sort(np.where(bind == UNBOUND, pad, bind), axis=0)
+    dup = (sup[1:] == sup[:-1]) & (sup[1:] != pad)
+    if dup.any():  # two path vertices bound to one variable
+        sup[1:][dup] = pad
+        sup.sort(axis=0)
+    return sup, (sup != pad).sum(axis=0)
+
+
+class _Block:
+    """Arrays for projecting up to ``cols`` weight columns at once, allocated
+    once and reused: the weights ``w`` (dim, cols) that the caller fills, the
+    vertex weights, the DP values, and the gather buffer of the largest level
+    group. ``cols`` is cut so that these four fit ``budget`` bytes, but is at
+    least 1; the walk's per-step temporaries are no larger than the gather
+    buffer."""
+
+    def __init__(self, dag: Dag, cols: int, budget: int):
+        group = max((ed.size for ed, _, _ in dag._projection_plan()), default=0)
+        n = dag.vertex_count
+        self.dag = dag
+        self.cols = max(1, min(cols, budget // (8 * (dag.dim + 2 * n + group))))
+        self.w = np.empty((dag.dim, self.cols))
+        self._vw = np.zeros((n, self.cols))
+        self._best = np.empty((n, self.cols))
+        self._gather = np.empty((group, self.cols))
+
+    def paths(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best paths for the first ``b`` columns of ``w``, squared as in
+        ``project``: the walk's (L, b) vertex rows, then ``_sorted_supports``."""
+        vw = _vertex_weights(self.dag, self.w[:, :b], self._vw[:, :b])
+        np.square(vw, out=vw)
+        best = _best_to_terminal(self.dag, vw, self._best[:, :b], self._gather[:, :b])
+        verts = _walk(self.dag, best)
+        return (verts,) + _sorted_supports(self.dag, verts)
+
+
+def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
+    """w restricted to the support ``sup`` and normalized, or the uniform
+    loading on ``sup`` when w vanishes there; returns (x, degenerate)."""
+    if sup.size == 0:
+        raise ValueError("winning path binds no variables; no unit vector on it")
+    x = np.zeros(w.shape[0])
+    nrm = float(np.linalg.norm(w[sup]))
+    if nrm == 0.0:
+        x[sup] = 1.0 / np.sqrt(sup.size)
+        return x, True
+    x[sup] = w[sup] / nrm
+    return x, False
 
 
 def longest_weighted_path(dag: Dag, vertex_weights: np.ndarray) -> WeightedPathResult:
@@ -98,9 +188,8 @@ def longest_weighted_path(dag: Dag, vertex_weights: np.ndarray) -> WeightedPathR
         raise ValueError("weights must be finite")
     if w.size and w.min() < 0:
         raise ValueError("weights must be nonnegative")
-    vw = _vertex_weights(dag, w)
-    best = _best_to_terminal(dag, vw)
-    path = make_path(dag, _walk(dag, best))
+    best = _best_to_terminal(dag, _vertex_weights(dag, w))
+    path = make_path(dag, _walk(dag, best), check=False)
     weight = float(w[path.sorted_support()].sum()) if path.support else 0.0
     return WeightedPathResult(path=path, weight=weight)
 
@@ -123,13 +212,5 @@ def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
     if not np.all(np.isfinite(w)):
         raise ValueError("input vector must be finite")
     res = longest_weighted_path(dag, w * w)
-    sup = res.path.sorted_support()
-    x = np.zeros(dag.dim)
-    if sup.size == 0:
-        raise ValueError("winning path binds no variables; no unit vector on it")
-    nrm = float(np.linalg.norm(w[sup]))
-    if nrm == 0.0:
-        x[sup] = 1.0 / np.sqrt(sup.size)
-        return ProjectedVector(x=x, path=res.path, degenerate=True)
-    x[sup] = w[sup] / nrm
-    return ProjectedVector(x=x, path=res.path)
+    x, degenerate = _unit_on(w, res.path.sorted_support())
+    return ProjectedVector(x=x, path=res.path, degenerate=degenerate)

@@ -9,7 +9,8 @@ Two heuristics and one exact reference:
   projects each, and keeps the candidate with the largest ||V^T x||^2. With
   enough samples this approximates the best rank-r answer, but note it is a
   poor fit for spiked covariances at scale, where the useful rank grows with
-  the dimension.
+  the dimension. The candidates are projected in chunks, one block DP and
+  walk per chunk, with the block arrays held under ``_BLOCK_BYTES``.
 - ``brute_force_solve``: per-path leading eigenpairs over an enumeration of
   all S-T paths; exact up to the eigensolver, for small path counts.
 
@@ -30,8 +31,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
-from .graph import Dag, Path, enumerate_paths
-from .projection import ProjectedVector, project
+from .graph import Dag, Path, enumerate_paths, make_path
+from .projection import ProjectedVector, _Block, _unit_on, project
+
+# Byte budget of the arrays sample_and_project projects its candidates in
+# (see projection._Block): it sets how many candidates share one DP pass.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -167,6 +172,19 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
                    iterates=iterates if record_iterates else None)
 
 
+def _direction(key: tuple[int, ...], i: int, rank: int) -> np.ndarray:
+    # Uniform on the unit sphere of R^rank from the stream keyed (*key, i),
+    # signed so that the first nonzero coordinate is positive.
+    g = np.random.default_rng(key + (i,)).standard_normal(rank)
+    nrm = np.linalg.norm(g)
+    if nrm == 0.0:
+        g[0] = 1.0
+        nrm = 1.0
+    c = g / nrm
+    nz = np.flatnonzero(c)
+    return -c if c[nz[0]] < 0 else c
+
+
 def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                        config: SampleProjectConfig) -> EstimateResult:
     """Rank-r sample-and-project: project random top-eigenspace directions.
@@ -178,32 +196,33 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
     returns the candidate maximizing ||V^T x||^2, first index winning ties.
     With rank=1 every candidate equals project(dag, v_1), so the budget is
     irrelevant. The trace records each candidate's ||V^T x||^2.
+
+    The candidates are projected in chunks of columns, each chunk through one
+    block DP and walk (bit-identical to ``project`` on each w_i); the block
+    arrays are allocated once and stay within ``_BLOCK_BYTES`` unless a
+    single column alone exceeds it. A Path is built for the winner only.
     """
     cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
     key = seed_key(config.seed)
+    block = _Block(dag, config.budget, _BLOCK_BYTES)
 
-    best: ProjectedVector | None = None
-    best_ro = -np.inf
+    best_x, best_ro, best_verts = None, -np.inf, None
     trace: list[float] = []
-    for i in range(config.budget):
-        rng = np.random.default_rng(key + (i,))
-        g = rng.standard_normal(config.rank)
-        nrm = np.linalg.norm(g)
-        if nrm == 0.0:
-            g[0] = 1.0
-            nrm = 1.0
-        c = g / nrm
-        nz = np.flatnonzero(c)
-        if c[nz[0]] < 0:
-            c = -c
-        pv = project(dag, v @ c)
-        ro = float(np.sum((v.T @ pv.x) ** 2))
-        trace.append(ro)
-        if best is None or ro > best_ro:
-            best, best_ro = pv, ro
-    return EstimateResult(x=best.x, path=best.path,
-                          objective=_rayleigh(cov.matrix, best.x),
+    for start in range(0, config.budget, block.cols):
+        b = min(block.cols, config.budget - start)
+        for j in range(b):
+            block.w[:, j] = v @ _direction(key, start + j, config.rank)
+        verts, sup, counts = block.paths(b)
+        for j in range(b):
+            x, _ = _unit_on(block.w[:, j], sup[:counts[j], j])
+            ro = float(np.sum((v.T @ x) ** 2))
+            trace.append(ro)
+            if best_x is None or ro > best_ro:
+                best_x, best_ro, best_verts = x, ro, verts[:, j]
+    path = make_path(dag, best_verts[best_verts >= 0], check=False)
+    return EstimateResult(x=best_x, path=path,
+                          objective=_rayleigh(cov.matrix, best_x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
 

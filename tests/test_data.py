@@ -7,6 +7,7 @@ from pathpca import (
     NumericError,
     SpikedModelParams,
     build_layer_graph,
+    count_paths,
     covariance_with_spectrum,
     empirical_covariance,
     enumerate_paths,
@@ -18,7 +19,9 @@ from pathpca import (
     sample_spiked,
 )
 
-from helpers import random_psd
+from pathpca.data import _uniform_below
+
+from helpers import random_dag, random_psd
 
 
 def unit(v):
@@ -298,3 +301,71 @@ class TestRandomPathVector:
         assert len(counts) == 25
         assert min(counts.values()) > 40
         assert max(counts.values()) < 130
+
+
+def _chi2_upper(df, z=3.0902):
+    # Wilson-Hilferty approximation of the chi-square quantile at 1 - 0.001
+    # (z is the standard normal quantile); slightly conservative at small df.
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * np.sqrt(h)) ** 3
+
+
+def _chi2(counts, expected):
+    counts = np.asarray(counts, dtype=float)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+class TestExactPathDraws:
+    def test_small_totals_keep_the_integers_stream(self):
+        # below 2^63 the draw is rng.integers(tot), so old seeds reproduce
+        for tot in (1, 7, 2**40 + 3, 2**63 - 1):
+            a, b = np.random.default_rng(5), np.random.default_rng(5)
+            assert [_uniform_below(a, tot) for _ in range(20)] == \
+                   [int(b.integers(tot)) for _ in range(20)]
+
+    def test_huge_total_in_range_repeatable_and_full_precision(self):
+        tot = 2**80 + 1
+        draws = [_uniform_below(np.random.default_rng((77, i)), tot) for i in range(200)]
+        assert all(0 <= r < tot for r in draws)
+        assert draws == [_uniform_below(np.random.default_rng((77, i)), tot)
+                         for i in range(200)]
+        # a float draw int(u * tot) has 53 bits, so its low 27 bits are zero
+        low = {r & (2**27 - 1) for r in draws}
+        assert len(low) > 150
+        assert max(draws) > tot // 2 > min(draws)
+
+    def test_huge_total_is_uniform(self):
+        # 3 * 2^63 needs 65 bits: a quarter of the tries are rejected, and
+        # the three top-level buckets r // 2^63 must come out equally often
+        rng = np.random.default_rng(19)
+        draws = [_uniform_below(rng, 3 * 2**63) for _ in range(3000)]
+        counts = np.bincount([r >> 63 for r in draws], minlength=3)
+        assert counts.size == 3
+        assert _chi2(counts, 1000.0) < _chi2_upper(2)
+
+    def test_random_path_vector_chi_square(self):
+        # an irregular DAG: successors carry unequal path counts
+        dag = random_dag(np.random.default_rng(4), max_interior=10, max_paths=40)
+        paths = [p.vertices for p in enumerate_paths(dag, cap=40)]
+        assert len(set(map(len, paths))) > 1
+        per_path = 60
+        counts = dict.fromkeys(paths, 0)
+        for s in range(per_path * len(paths)):
+            _, path = random_path_vector(dag, seed=(2024, s))
+            counts[path.vertices] += 1
+        assert len(counts) == len(paths)
+        assert min(counts.values()) > 0
+        assert _chi2(list(counts.values()), per_path) < _chi2_upper(len(paths) - 1)
+
+    def test_more_paths_than_two_to_the_63(self):
+        dag = build_layer_graph(134, 33, 4)  # 4 * 4**32 = 2**66 paths
+        assert count_paths(dag) == 2**66
+        firsts = []
+        for s in range(400):
+            x, path = random_path_vector(dag, seed=(31, s))
+            assert is_st_path(dag, path.vertices)
+            assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+            firsts.append(path.vertices[1])
+        again = random_path_vector(dag, seed=(31, 0))
+        assert again[1] == random_path_vector(dag, seed=(31, 0))[1]
+        assert _chi2(np.bincount(firsts, minlength=5)[1:], 100.0) < _chi2_upper(3)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from pathpca import Dag, build_layer_graph, enumerate_paths, is_st_path, project
-from pathpca.projection import longest_weighted_path
+from pathpca import (Dag, GraphStructureError, build_layer_graph, enumerate_paths,
+                     is_st_path, project)
+from pathpca.projection import (_best_to_terminal, _sorted_supports, _unit_on,
+                                _vertex_weights, _walk, longest_weighted_path)
 
 from helpers import assert_feasible, oracle_best_objective, random_dag
 
@@ -180,3 +182,96 @@ class TestProject:
         # path through vertex 1 carries w[2]^2=0.64; other branch 0.09+0.09=0.18
         assert pv.path.vertices == (0, 1, 4)
         assert pv.x.tolist() == [0.0, 0.0, 1.0]
+
+
+def _block_paths(dag, w2):
+    """Paths of the block DP and walk, one vertex tuple per column of w2."""
+    verts = _walk(dag, _best_to_terminal(dag, _vertex_weights(dag, w2)))
+    return [tuple(col[col >= 0].tolist()) for col in verts.T]
+
+
+def _first_maximizer(dag, w2, paths):
+    # Enumeration order is lexicographic; integer weights make the sums exact,
+    # so ties are exact and the first maximizer is the lexicographic one.
+    sums = [float(w2[p.sorted_support()].sum()) for p in paths]
+    return paths[sums.index(max(sums))].vertices
+
+
+class TestBlockProjection:
+    def _instances(self, seed, count=25):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            d = random_dag(rng, max_interior=18, max_paths=2000)
+            w = rng.integers(-2, 3, size=(d.dim, 9)).astype(float)
+            w[:, 0] = 0.0  # an all-zero column: every path ties
+            w[:, 1] = 1.0  # equal weights: ties among equal-length paths
+            yield d, w, enumerate_paths(d, cap=2000)
+
+    def test_block_paths_equal_column_loop_and_enumeration(self):
+        for d, w, paths in self._instances(211):
+            w2 = w * w
+            block = _block_paths(d, w2)
+            for j in range(w.shape[1]):
+                single = longest_weighted_path(d, w2[:, j]).path.vertices
+                assert block[j] == single
+                assert block[j] == _first_maximizer(d, w2[:, j], paths)
+
+    def test_block_matches_project(self):
+        for d, w, _ in self._instances(223):
+            verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w * w)))
+            sup, counts = _sorted_supports(d, verts)
+            for j in range(w.shape[1]):
+                try:
+                    pv = project(d, w[:, j])
+                except ValueError:
+                    assert counts[j] == 0
+                    with pytest.raises(ValueError, match="binds no variables"):
+                        _unit_on(w[:, j], sup[:counts[j], j])
+                    continue
+                col = verts[:, j]
+                assert tuple(col[col >= 0].tolist()) == pv.path.vertices
+                assert np.array_equal(sup[:counts[j], j], pv.path.sorted_support())
+                x, degenerate = _unit_on(w[:, j], sup[:counts[j], j])
+                assert x.tobytes() == pv.x.tobytes()
+                assert degenerate == pv.degenerate
+                assert degenerate == (j == 0 or not np.any(w[pv.path.sorted_support(), j]))
+
+    def test_unbound_tie_break_path_raises_in_block(self):
+        # only vertex 2 bound: the zero column's tie-break path (0,1,3) binds
+        # nothing, while the nonzero column routes through vertex 2
+        d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 0})
+        w = np.array([[0.0, 0.5]])
+        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w * w)))
+        sup, counts = _sorted_supports(d, verts)
+        assert verts.T.tolist() == [[0, 1, 3], [0, 2, 3]]
+        assert counts.tolist() == [0, 1]
+        with pytest.raises(ValueError, match="binds no variables"):
+            _unit_on(w[:, 0], sup[:0, 0])
+        assert _unit_on(w[:, 1], sup[:1, 1])[0].tolist() == [1.0]
+
+    def test_paths_of_unequal_length_are_padded(self):
+        # the heavy column takes the long branch 0-1-2-4, the other 0-3-4
+        d = Dag(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], 0, 4)
+        w2 = np.array([[0, 0], [5, 0], [5, 0], [0, 9], [0, 0]], dtype=float)
+        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w2)))
+        assert verts.T.tolist() == [[0, 1, 2, 4], [0, 3, 4, -1]]
+        sup, counts = _sorted_supports(d, verts)
+        assert counts.tolist() == [4, 3]
+        assert sup[:4, 0].tolist() == [0, 1, 2, 4]
+        assert sup[:3, 1].tolist() == [0, 3, 4]
+
+    def test_shared_variable_counted_once(self):
+        # vertices 1 and 2 both carry variable 0, as Path.support counts it
+        d = Dag(4, [(0, 1), (1, 2), (2, 3)], 0, 3, binding={1: 0, 2: 0, 3: 1})
+        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, np.ones((2, 3)))))
+        sup, counts = _sorted_supports(d, verts)
+        assert counts.tolist() == [2, 2, 2]
+        assert sup[:2].T.tolist() == [[0, 1]] * 3
+
+    def test_unreachable_terminal_raises(self):
+        # vertex 1 is a dead end and the only successor of the source
+        d = Dag(3, [(0, 1)], 0, 2)
+        with pytest.raises(GraphStructureError, match="unreachable"):
+            _walk(d, _best_to_terminal(d, _vertex_weights(d, np.ones((3, 2)))))
+        with pytest.raises(GraphStructureError, match="unreachable"):
+            project(d, np.ones(3))

@@ -23,6 +23,8 @@ from pathpca import (
     sample_spiked,
     sparse_truncated_power,
 )
+from pathpca import projection, solvers
+from pathpca.data import seed_key
 from pathpca.solvers import budget_for_epsilon
 
 from helpers import assert_feasible, oracle_best_rayleigh, random_dag, random_psd
@@ -126,6 +128,18 @@ class TestGraphTruncatedPower:
             if abs(g.objective - b.objective) <= 1e-9 * max(1.0, b.objective):
                 hits += 1
         assert hits >= 70
+
+    def test_rank_deficient_covariance(self):
+        rng = np.random.default_rng(331)
+        for _ in range(15):
+            dag = random_dag(rng, max_interior=14, max_paths=400)
+            sigma = _rank_deficient(dag, rng)
+            res = graph_truncated_power(sigma, dag, record_iterates=True)
+            assert np.all(np.diff(np.asarray(res.trace)) >= -1e-10)
+            for pv in res.iterates:
+                assert_feasible(dag, pv.x, pv.path)
+            assert res.objective >= -1e-12
+            assert res.objective <= brute_force_solve(sigma, dag, cap=400).objective + 1e-9
 
     def test_rejects_bad_input(self):
         dag = diamond()
@@ -254,6 +268,16 @@ class TestBruteForce:
             assert g <= best + 1e-9
             assert s <= best + 1e-9
 
+    def test_rank_deficient_covariance(self):
+        rng = np.random.default_rng(337)
+        for n in (1, 2, 3):
+            dag = random_dag(rng, max_interior=14, max_paths=400)
+            sigma = _rank_deficient(dag, rng, n=n)
+            res = brute_force_solve(sigma, dag, cap=400)
+            assert res.objective == pytest.approx(
+                oracle_best_rayleigh(dag, sigma), abs=1e-10)
+            assert_feasible(dag, res.x, res.path)
+
     def test_cap_refusal(self):
         dag = build_layer_graph(12, 2, 5)
         with pytest.raises(ValueError):
@@ -287,6 +311,20 @@ class TestSparseTruncatedPower:
         sigma = random_psd(10, rng)
         res = sparse_truncated_power(sigma, k=3)
         assert np.all(np.diff(np.asarray(res.trace)) >= -1e-10)
+
+    def test_rank_deficient_covariance(self):
+        rng = np.random.default_rng(347)
+        for n in (1, 2, 4):
+            sigma = empirical_covariance(rng.standard_normal((12, n)))
+            for k in (1, 3, 12):
+                res = sparse_truncated_power(sigma, k=k)
+                assert np.count_nonzero(res.x) <= k
+                assert abs(np.linalg.norm(res.x) - 1.0) <= 1e-12
+                assert np.all(np.diff(np.asarray(res.trace)) >= -1e-10)
+                assert res.objective <= np.linalg.eigvalsh(sigma)[-1] + 1e-10
+            # k = p is plain power iteration, which finds the top eigenvalue
+            full = sparse_truncated_power(sigma, k=12, config=PowerMethodConfig(max_iters=5000))
+            assert full.objective == pytest.approx(np.linalg.eigvalsh(sigma)[-1], rel=1e-6)
 
     def test_threshold_tie_breaks_ascending(self):
         # k=2 over equal magnitudes keeps the two lowest indices
@@ -329,3 +367,131 @@ class TestPreparedCovariance:
     def test_brute_force_rejects_non_psd(self):
         with pytest.raises(NumericError):
             brute_force_solve(np.diag([1.0, -5.0, -3.0, 1.0]), diamond(), cap=10)
+
+
+def _reference_sample(sigma, dag, cfg):
+    """sample_and_project written as a loop of project() calls, one candidate
+    at a time: the definition the block implementation must reproduce."""
+    cov = prepare_covariance(sigma, dag.dim)
+    v = low_rank_factor(cov, cfg.rank)
+    key = seed_key(cfg.seed)
+    best, best_ro, trace = None, -np.inf, []
+    for i in range(cfg.budget):
+        g = np.random.default_rng(key + (i,)).standard_normal(cfg.rank)
+        nrm = np.linalg.norm(g)
+        if nrm == 0.0:
+            g[0], nrm = 1.0, 1.0
+        c = g / nrm
+        if c[np.flatnonzero(c)[0]] < 0:
+            c = -c
+        pv = project(dag, v @ c)
+        ro = float(np.sum((v.T @ pv.x) ** 2))
+        trace.append(ro)
+        if best is None or ro > best_ro:
+            best, best_ro = pv, ro
+    return best, float(best.x @ cov.matrix @ best.x), best_ro, trace
+
+
+def _assert_same_as_reference(res, ref):
+    pv, objective, rank_objective, trace = ref
+    assert res.x.tobytes() == pv.x.tobytes()
+    assert res.path == pv.path
+    assert res.objective == objective
+    assert res.rank_objective == rank_objective
+    assert res.trace == trace
+
+
+def _rank_deficient(dag, rng, n=None):
+    # empirical covariance of n < p samples: rank n, zero eigenvalues that
+    # come out of eigh slightly negative
+    n = n if n is not None else max(1, dag.dim // 3)
+    return empirical_covariance(rng.standard_normal((dag.dim, n)))
+
+
+class TestSampleAndProjectBlock:
+    def _cases(self):
+        rng = np.random.default_rng(307)
+        for t in range(12):
+            dag = random_dag(rng, max_interior=16)
+            sigma = random_psd(dag.dim, rng) if t % 2 else _rank_deficient(dag, rng)
+            for rank in (1, 2, 3):
+                if rank <= dag.dim:
+                    yield sigma, dag, SampleProjectConfig(
+                        rank=rank, budget=(1, 7, 64, 150)[t % 4], seed=(t, rank))
+
+    def test_equals_loop_of_project(self):
+        for sigma, dag, cfg in self._cases():
+            _assert_same_as_reference(sample_and_project(sigma, dag, cfg),
+                                      _reference_sample(sigma, dag, cfg))
+
+    def test_rank_deficient_layer_graph(self):
+        dag = build_layer_graph(34, 4, 8)
+        sigma = _rank_deficient(dag, np.random.default_rng(311), n=5)
+        assert np.linalg.matrix_rank(sigma) == 5
+        for rank in (1, 2, 3):
+            cfg = SampleProjectConfig(rank=rank, budget=200, seed=rank)
+            res = sample_and_project(sigma, dag, cfg)
+            _assert_same_as_reference(res, _reference_sample(sigma, dag, cfg))
+            assert_feasible(dag, res.x, res.path)
+
+    def test_zero_covariance_every_candidate_degenerate(self):
+        dag = build_layer_graph(12, 2, 5)
+        cfg = SampleProjectConfig(rank=2, budget=30, seed=4)
+        res = sample_and_project(np.zeros((12, 12)), dag, cfg)
+        ref = _reference_sample(np.zeros((12, 12)), dag, cfg)
+        assert ref[0].degenerate
+        _assert_same_as_reference(res, ref)
+        assert res.trace == [0.0] * 30
+        assert res.path == enumerate_paths(dag, cap=25)[0]
+
+    def test_tie_break_path_without_variables_raises(self):
+        d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 0})
+        with pytest.raises(ValueError, match="binds no variables"):
+            sample_and_project(np.zeros((1, 1)), d, SampleProjectConfig(rank=1, budget=3))
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+    def test_independent_of_chunking(self, monkeypatch, block_bytes):
+        # one column per chunk, then the whole budget in one chunk
+        cases = list(self._cases())[::3]
+        expect = [sample_and_project(*case) for case in cases]
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
+        for case, want in zip(cases, expect):
+            got = sample_and_project(*case)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.path == want.path
+            assert got.trace == want.trace
+
+    @pytest.mark.parametrize("block_bytes", [40_000, 100_000, solvers._BLOCK_BYTES])
+    def test_block_arrays_stay_within_budget(self, monkeypatch, block_bytes):
+        # record every array handed to the block DP; those it fills are views
+        # of the buffers, which must be allocated once and fit the budget
+        seen = {}
+
+        def record(*arrays):
+            for a in arrays:
+                buf = a if a.base is None else a.base
+                seen[id(buf)] = buf
+
+        def vertex_weights(dag, w, out=None):
+            record(w, out)
+            return original_vertex_weights(dag, w, out)
+
+        def best_to_terminal(dag, vw, best=None, gather=None):
+            record(vw, best, gather)
+            return original_best_to_terminal(dag, vw, best, gather)
+
+        original_vertex_weights = projection._vertex_weights
+        original_best_to_terminal = projection._best_to_terminal
+
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(projection, "_vertex_weights", vertex_weights)
+        monkeypatch.setattr(projection, "_best_to_terminal", best_to_terminal)
+        dag = build_layer_graph(130, 8, 4)
+        sigma = random_psd(130, np.random.default_rng(313))
+        cfg = SampleProjectConfig(rank=2, budget=500, seed=1)
+        res = sample_and_project(sigma, dag, cfg)
+        assert len(seen) == 4
+        assert sum(buf.nbytes for buf in seen.values()) <= block_bytes
+        assert min(buf.shape[1] for buf in seen.values()) > 1  # it did batch
+        monkeypatch.undo()
+        assert res.trace == sample_and_project(sigma, dag, cfg).trace
