@@ -174,6 +174,8 @@ def cmd_solve(args) -> int:
     }
     if res.rank_objective is not None:
         record["rank_objective"] = res.rank_objective
+    if res.stop_reason is not None:
+        record["stop_reason"] = res.stop_reason
     if x_star is not None:
         rep = evaluate(res.x, x_star, sigma)
         record["projector_loss"] = rep.projector_loss

@@ -17,6 +17,9 @@ Two heuristics and one exact reference:
 ``sparse_truncated_power`` is the unstructured k-sparse baseline: the same
 iteration with hard thresholding to the top-k magnitudes in place of the
 path projection; both power methods run one loop, ``_truncated_power``.
+Every iterate is supported on at most |path| (or k) coordinates, so a step
+multiplies only the covariance rows of that support, O(p * |support|) rather
+than O(p^2), and the same product gives the step's Rayleigh quotient.
 
 Every solver, brute force included, validates sigma through
 ``prepare_covariance`` and so rejects non-PSD input. Passing the prepared
@@ -80,7 +83,12 @@ class EstimateResult:
     """Solver output: the estimate, its support path (None for the sparse
     baseline), the Rayleigh quotient x^T sigma x, the iteration or sample
     count, and the per-step objective trace. ``rank_objective`` is filled by
-    sample_and_project with its selection objective ||V^T x||^2."""
+    sample_and_project with its selection objective ||V^T x||^2.
+
+    The power methods also fill ``stop_reason`` ("step", "stable" or
+    "max_iters", see ``_truncated_power``) and ``degenerate``, the number of
+    iterates whose path projection fell back to the uniform loading
+    (``ProjectedVector.degenerate``; always 0 for the sparse baseline)."""
 
     x: np.ndarray
     path: Path | None
@@ -89,23 +97,28 @@ class EstimateResult:
     trace: list[float] = field(default_factory=list)
     rank_objective: float | None = None
     iterates: list[ProjectedVector] | None = None
-
-
-def _rayleigh(sigma: np.ndarray, x: np.ndarray) -> float:
-    return float(x @ sigma @ x)
+    stop_reason: str | None = None
+    degenerate: int = 0
 
 
 def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     """Truncated power iteration x <- step(s @ x) for both power methods.
 
-    ``step(w)`` returns ``(x, support, item)``: the feasible unit vector
-    nearest w, the support the stopping rule compares, and an item returned
-    for the best iterate. A "diag" or "random" start is stepped and counts
-    in the trace; an explicit start is used as-is for the first multiply.
-    Stops when the iterate moves less than ``tol``, when the support has been
-    stable for two consecutive steps with objective change at most ``tol``,
-    or at ``max_iters``. Returns the best iterate (first on ties) as a result
-    with ``path=None``, its item, and every item in order.
+    ``step(w)`` returns ``(x, idx, item)``: the feasible unit vector nearest
+    w, the ascending indices ``idx`` of its support (an int array that holds
+    every nonzero of x), and an item returned for the best iterate. Each
+    iterate is multiplied only on its support: ``u = x[idx] @ s[idx]`` gathers
+    |idx| rows and equals ``s @ x`` because s is exactly symmetric, the
+    Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and u is the next
+    step's input, so an iteration costs one O(p * |idx|) product. A "diag" or
+    "random" start is stepped and counts in the trace; an explicit start is
+    used as-is, with one dense ``s @ x`` for its first multiply.
+
+    Stops when the iterate moves less than ``tol`` (stop reason "step"),
+    when the support has been stable for two consecutive steps with
+    objective change at most ``tol`` ("stable"), or at ``max_iters``
+    ("max_iters"). Returns the best iterate (first on ties) as a result with
+    ``path=None`` and its stop reason, its item, and every item in order.
     """
     cfg = cfg if cfg is not None else PowerMethodConfig()
     p = s.shape[0]
@@ -114,37 +127,47 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
             w = s[:, int(np.argmax(np.diag(s)))]
         else:
             w = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(p)
-        x, sup, item = step(w)
-        obj = _rayleigh(s, x)
+        x, idx, item = step(w)
+        u = x[idx] @ s[idx]
+        obj = float(x[idx] @ u[idx])
         trace, items = [obj], [item]
-        best_x, best_obj, best_item, prev_sup = x, obj, item, sup
+        best_x, best_obj, best_item, prev_idx = x, obj, item, idx
     else:
         x = np.asarray(cfg.init, dtype=float)
         if x.shape != (p,):
             raise ValueError(f"start vector must have length {p}")
         if not np.all(np.isfinite(x)):
             raise ValueError("start vector must be finite")
+        u = s @ x
         trace, items = [], []
-        best_x, best_obj, best_item, prev_sup = None, -np.inf, None, None
+        best_x, best_obj, best_item, prev_idx = None, -np.inf, None, None
 
     stable = 0
+    stop_reason = "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
-        nxt, sup, item = step(s @ x)
-        obj = _rayleigh(s, nxt)
+        nxt, idx, item = step(u)
+        u = nxt[idx] @ s[idx]
+        obj = float(nxt[idx] @ u[idx])
         trace.append(obj)
         items.append(item)
         if best_x is None or obj > best_obj:
             best_x, best_obj, best_item = nxt, obj, item
         moved = float(np.linalg.norm(nxt - x))
-        if prev_sup is not None and sup == prev_sup and abs(obj - trace[-2]) <= cfg.tol:
+        if (prev_idx is not None and np.array_equal(idx, prev_idx)
+                and abs(obj - trace[-2]) <= cfg.tol):
             stable += 1
         else:
             stable = 0
-        x, prev_sup = nxt, sup
-        if moved <= cfg.tol or stable >= 2:
+        x, prev_idx = nxt, idx
+        if moved <= cfg.tol:
+            stop_reason = "step"
+            break
+        if stable >= 2:
+            stop_reason = "stable"
             break
     res = EstimateResult(x=best_x, path=None, objective=best_obj,
-                         iterations=iterations, trace=trace)
+                         iterations=iterations, trace=trace,
+                         stop_reason=stop_reason)
     return res, best_item, items
 
 
@@ -153,11 +176,11 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
                           record_iterates: bool = False) -> EstimateResult:
     """Maximize x^T sigma x over path-supported unit vectors, iteratively.
 
-    Each step projects sigma @ x back onto the feasible set; start handling
-    and stopping rules are those of ``_truncated_power``. Returns the
-    best-objective iterate seen, which the nondecreasing trace makes the last
-    one in exact arithmetic. With ``record_iterates`` the result also lists
-    every projected iterate.
+    Each step projects sigma @ x back onto the feasible set; start handling,
+    the support-restricted products and the stopping rules are those of
+    ``_truncated_power``. Returns the best-objective iterate seen, which the
+    nondecreasing trace makes the last one in exact arithmetic. With
+    ``record_iterates`` the result also lists every projected iterate.
 
     Requires PSD input; that is what makes the trace monotone.
     """
@@ -165,10 +188,11 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
 
     def step(w):
         pv = project(dag, w)
-        return pv.x, pv.path.support, pv
+        return pv.x, pv.path.sorted_support(), pv
 
     res, best, iterates = _truncated_power(s, step, config)
     return replace(res, path=best.path,
+                   degenerate=sum(pv.degenerate for pv in iterates),
                    iterates=iterates if record_iterates else None)
 
 
@@ -222,7 +246,7 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                 best_x, best_ro, best_verts = x, ro, verts[:, j]
     path = make_path(dag, best_verts[best_verts >= 0], check=False)
     return EstimateResult(x=best_x, path=path,
-                          objective=_rayleigh(cov.matrix, best_x),
+                          objective=float(best_x @ cov.matrix @ best_x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
 
@@ -276,10 +300,14 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
 
 def _top_k_unit(w: np.ndarray, k: int) -> np.ndarray:
     # Keep the k largest magnitudes (ascending index on ties), renormalize.
-    p = w.size
-    order = np.lexsort((np.arange(p), -np.abs(w)))
-    sel = np.sort(order[:k])
-    x = np.zeros(p)
+    # O(p): every magnitude above the k-th largest, then the lowest indices
+    # among those equal to it.
+    a = np.abs(w)
+    kth = np.partition(a, a.size - k)[a.size - k]
+    keep = a > kth
+    keep[np.flatnonzero(a == kth)[:k - np.count_nonzero(keep)]] = True
+    sel = np.flatnonzero(keep)
+    x = np.zeros(w.size)
     nrm = float(np.linalg.norm(w[sel]))
     if nrm == 0.0:
         x[sel] = 1.0 / np.sqrt(k)
@@ -304,6 +332,6 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
 
     def step(w):
         x = _top_k_unit(w, k)
-        return x, frozenset(np.flatnonzero(x != 0.0).tolist()), None
+        return x, np.flatnonzero(x), None
 
     return _truncated_power(s, step, config)[0]

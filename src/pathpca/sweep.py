@@ -160,7 +160,8 @@ def check_structured_output(dag: Dag, result: EstimateResult, solver: str):
 
 def _best_of_starts(run, cfg: SweepConfig, stream: tuple) -> EstimateResult:
     """Diagonal start plus cfg.restarts random starts, best objective kept
-    (the diagonal start wins ties). Iterations are summed over all starts."""
+    (the diagonal start wins ties). Iterations are summed over all starts;
+    the stop reason and degenerate count are the winner's."""
     best = run(PowerMethodConfig(max_iters=cfg.max_iters, tol=cfg.tol))
     total = best.iterations
     for j in range(cfg.restarts):

@@ -107,6 +107,10 @@ class TestSolve:
             assert set(record["support"]) <= set(record["path"])
         if solver == "sample":
             assert "rank_objective" in record
+        if solver in ("power", "sparse-power"):
+            assert record["stop_reason"] in ("step", "stable", "max_iters")
+        else:
+            assert "stop_reason" not in record
 
     def test_estimate_file_round_trips(self, dataset, tmp_path, capsys):
         est = tmp_path / "estimate.txt"

@@ -345,6 +345,170 @@ class TestSparseTruncatedPower:
                 init=np.array([np.nan, 1.0, 1.0, 1.0])))
 
 
+def _top_k_lexsort(w, k):
+    # keep-top-k by a full sort: magnitude descending, then index ascending
+    sel = np.sort(np.lexsort((np.arange(w.size), -np.abs(w)))[:k])
+    x = np.zeros(w.size)
+    nrm = float(np.linalg.norm(w[sel]))
+    x[sel] = 1.0 / np.sqrt(k) if nrm == 0.0 else w[sel] / nrm
+    return x
+
+
+def _dense_power(s, step, cfg):
+    """The truncated power loop with dense products, s @ x and x @ s @ x, and
+    supports compared as sets: the definition the support-restricted loop
+    must reproduce. ``step(w)`` returns (x, support set, item); returns
+    (trace, items, iterations, stop reason)."""
+    if isinstance(cfg.init, str):
+        if cfg.init == "diag":
+            w = s[:, int(np.argmax(np.diag(s)))]
+        else:
+            w = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(s.shape[0])
+        x, prev, item = step(w)
+        trace, items = [float(x @ s @ x)], [item]
+    else:
+        x, prev = np.asarray(cfg.init, dtype=float), None
+        trace, items = [], []
+    stable, reason = 0, "max_iters"
+    for iterations in range(1, cfg.max_iters + 1):
+        nxt, sup, item = step(s @ x)
+        trace.append(float(nxt @ s @ nxt))
+        items.append(item)
+        moved = float(np.linalg.norm(nxt - x))
+        same = prev is not None and sup == prev and abs(trace[-1] - trace[-2]) <= cfg.tol
+        stable = stable + 1 if same else 0
+        x, prev = nxt, sup
+        if moved <= cfg.tol:
+            reason = "step"
+            break
+        if stable >= 2:
+            reason = "stable"
+            break
+    return trace, items, iterations, reason
+
+
+class TestSupportRestrictedLoop:
+    """Both power methods multiply only on the iterate's support; they must
+    agree with the dense loop to 1e-12 and take the same discrete steps."""
+
+    def _cases(self):
+        rng = np.random.default_rng(401)
+        for t in range(16):
+            dag = random_dag(rng, max_interior=16)
+            sigma = (random_psd(dag.dim, rng), _rank_deficient(dag, rng),
+                     empirical_covariance(rng.standard_normal((dag.dim, 3 * dag.dim))),
+                     np.zeros((dag.dim, dag.dim)))[t % 4]
+            for init in ("diag", "random", rng.standard_normal(dag.dim)):
+                yield dag, sigma, PowerMethodConfig(init=init, seed=(t, 1))
+        dag = build_layer_graph(130, 8, 4)
+        x_star, _ = random_path_vector(dag, seed=409)
+        sigma = empirical_covariance(sample_spiked(
+            SpikedModelParams(x_star=x_star, beta=2.0), 60, seed=419))
+        for init in ("diag", "random"):
+            yield dag, sigma, PowerMethodConfig(init=init, seed=3)
+
+    @staticmethod
+    def _assert_trace_close(got, want):
+        assert len(got) == len(want)
+        scale = max(1.0, max(abs(v) for v in want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_graph_power_matches_dense_loop(self):
+        for dag, sigma, cfg in self._cases():
+            def step(w):
+                pv = project(dag, w)
+                return pv.x, pv.path.support, pv
+            trace, iterates, iterations, reason = _dense_power(sigma, step, cfg)
+            res = graph_truncated_power(sigma, dag, cfg, record_iterates=True)
+            self._assert_trace_close(res.trace, trace)
+            assert [pv.path for pv in res.iterates] == [pv.path for pv in iterates]
+            assert res.iterations == iterations
+            assert res.stop_reason == reason
+            assert res.degenerate == sum(pv.degenerate for pv in iterates)
+            best = iterates[int(np.argmax(trace))]
+            assert res.path == best.path
+            np.testing.assert_allclose(res.x, best.x, rtol=0, atol=1e-12)
+            assert res.objective == pytest.approx(max(trace), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, "p"])
+    def test_sparse_power_matches_dense_loop(self, monkeypatch, k):
+        seen = []
+
+        def top_k(w, kk):
+            x = original(w, kk)
+            seen.append(x)
+            return x
+
+        original = solvers._top_k_unit
+        monkeypatch.setattr(solvers, "_top_k_unit", top_k)
+        for dag, sigma, cfg in self._cases():
+            kk = dag.dim if k == "p" else min(k, dag.dim)
+
+            def step(w):
+                x = _top_k_lexsort(w, kk)
+                return x, frozenset(np.flatnonzero(x).tolist()), x
+            trace, iterates, iterations, reason = _dense_power(sigma, step, cfg)
+            seen.clear()
+            res = sparse_truncated_power(sigma, kk, cfg)
+            self._assert_trace_close(res.trace, trace)
+            assert [np.flatnonzero(x).tolist() for x in seen] == \
+                [np.flatnonzero(x).tolist() for x in iterates]
+            assert res.iterations == iterations
+            assert res.stop_reason == reason
+            assert res.degenerate == 0
+            best = iterates[int(np.argmax(trace))]
+            np.testing.assert_allclose(res.x, best, rtol=0, atol=1e-12)
+
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(421)
+        dag = random_dag(rng, max_interior=16)
+        sigma = random_psd(dag.dim, rng)
+        for run in (lambda c: graph_truncated_power(sigma, dag, c),
+                    lambda c: sparse_truncated_power(sigma, min(3, dag.dim), c)):
+            once = run(PowerMethodConfig(max_iters=1))
+            assert (once.iterations, once.stop_reason) == (1, "max_iters")
+            full = run(PowerMethodConfig())
+            assert full.stop_reason == "stable" and full.iterations > 2
+        # the iterate stops moving: a fixed point reached in one step
+        res = graph_truncated_power(np.eye(12), build_layer_graph(12, 2, 5))
+        assert (res.iterations, res.stop_reason) == (1, "step")
+        res = sparse_truncated_power(np.diag([3.0, 2.0, 1.0]), k=1)
+        assert (res.iterations, res.stop_reason) == (1, "step")
+
+    def test_degenerate_count(self):
+        dag = build_layer_graph(12, 2, 5)
+        sigma = random_psd(12, np.random.default_rng(431))
+        assert graph_truncated_power(sigma, dag).degenerate == 0
+        # the diagonal start and the one step after it both see w = 0
+        res = graph_truncated_power(np.zeros((12, 12)), dag)
+        assert (res.degenerate, res.iterations, res.stop_reason) == (2, 1, "step")
+        assert res.path == enumerate_paths(dag, cap=25)[0]
+        # a random start is not degenerate, its steps are
+        res = graph_truncated_power(np.zeros((12, 12)), dag,
+                                    PowerMethodConfig(init="random", seed=2),
+                                    record_iterates=True)
+        assert not res.iterates[0].degenerate
+        assert res.degenerate == len(res.iterates) - 1 >= 1
+        assert sparse_truncated_power(np.zeros((12, 12)), 3).degenerate == 0
+
+
+class TestTopK:
+    def test_matches_full_sort_with_ties_and_zeros(self):
+        rng = np.random.default_rng(433)
+        vectors = [np.zeros(9), -np.zeros(9), np.ones(9), np.array([1.0, -1.0, 0.0, -0.0, 1.0])]
+        for _ in range(60):
+            p = int(rng.integers(1, 40))
+            w = rng.integers(-2, 3, size=p).astype(float)
+            w[rng.random(p) < 0.2] = -0.0
+            vectors.append(w)
+        vectors.append(rng.standard_normal(50))
+        for w in vectors:
+            for k in range(1, w.size + 1):
+                want = _top_k_lexsort(w, k)
+                got = solvers._top_k_unit(w, k)
+                assert got.tobytes() == want.tobytes(), (w, k)
+
+
 class TestPreparedCovariance:
     def test_every_solver_matches_on_raw_and_prepared_input(self):
         dag = build_layer_graph(12, 2, 5)

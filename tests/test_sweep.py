@@ -17,6 +17,7 @@ from pathpca import (
 from pathpca.solvers import EstimateResult
 from pathpca.sweep import (
     CSV_COLUMNS,
+    _best_of_starts,
     cell_seed,
     check_structured_output,
     nearest_divisor_layers,
@@ -140,6 +141,18 @@ class TestRunSweep:
             assert rb.objective >= ra.objective - 1e-12
             # each extra start adds at least one iteration to the total
             assert rb.iterations > ra.iterations
+
+    def test_best_start_keeps_its_diagnostics(self):
+        # the winning start's stop reason and degenerate count are reported,
+        # its iterations summed with the others'
+        starts = [EstimateResult(x=np.ones(1), path=None, objective=obj,
+                                 iterations=it, stop_reason=why, degenerate=deg)
+                  for obj, it, why, deg in [(1.0, 3, "stable", 0),
+                                            (2.0, 5, "max_iters", 4),
+                                            (2.0, 7, "step", 1)]]
+        best = _best_of_starts(lambda pc: starts.pop(0), small_cfg(restarts=2), (1,))
+        assert (best.objective, best.iterations) == (2.0, 15)
+        assert (best.stop_reason, best.degenerate) == ("max_iters", 4)
 
     def test_zero_restarts_rejected_below_zero(self):
         with pytest.raises(ValueError):
