@@ -26,9 +26,9 @@ from .projection import project
 from .solvers import (PowerMethodConfig, SampleProjectConfig,
                       brute_force_solve, graph_truncated_power,
                       sample_and_project, sparse_truncated_power)
-from .sweep import (InternalInvariantError, check_structured_output,
-                    nearest_divisor_layers, parse_kv_file, parse_sweep_config,
-                    run_sweep, write_sidecar, write_sweep_csv)
+from .sweep import (InternalInvariantError, _layer_shape, check_structured_output,
+                    parse_kv_file, parse_sweep_config, run_sweep, write_sidecar,
+                    write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
@@ -112,8 +112,7 @@ def cmd_generate(args) -> int:
     if missing:
         raise ValueError(f"config must set: {sorted(missing)}")
     p = int(cfg["p"])
-    k = nearest_divisor_layers(p) if cfg["k"] == "auto" else int(cfg["k"])
-    d = (p - 2) // k if cfg["d"] == "full" else int(cfg["d"])
+    k, d = _layer_shape(p, cfg["k"], cfg["d"])
     beta = float(cfg["beta"])
     n = int(cfg["n"])
 

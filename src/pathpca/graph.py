@@ -5,6 +5,12 @@ variable (an index into a length-``dim`` vector); auxiliary vertices such as
 the source/terminal of a group graph stay unbound and carry weight zero in
 every path computation. All path operations work on S-T paths: vertex
 sequences from ``source`` to ``terminal`` following edges.
+
+Edges are stored once, as a sorted out-adjacency in CSR form (``_indptr``
+row starts, ``_indices`` neighbours); ``in_neighbors`` scans the edges. Every
+reverse pass over the graph (the longest-path DP of the projection,
+reachability of the terminal, exact path counts) runs over one plan,
+``Dag._projection_plan``, so they agree on what an S-T path is.
 """
 
 from __future__ import annotations
@@ -39,16 +45,14 @@ class ValidationReport:
 
 
 def _csr_gather(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray):
-    """Flatten the CSR adjacency slices of ``verts`` into (srcs, neighbors)."""
-    counts = indptr[verts + 1] - indptr[verts]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    cum = np.cumsum(counts)
-    offs = np.repeat(indptr[verts] - (cum - counts), counts)
-    flat = indices[offs + np.arange(total, dtype=np.int64)]
-    return np.repeat(verts, counts), flat
+    """Concatenate the CSR adjacency segments of the (non-empty) ``verts``:
+    returns (counts, starts, neighbors), segment i being
+    ``neighbors[starts[i]:starts[i] + counts[i]]``."""
+    lo = indptr[verts]
+    counts = indptr[verts + 1] - lo
+    ends = counts.cumsum()
+    starts = ends - counts
+    return counts, starts, indices[np.arange(ends[-1]) + np.repeat(lo - starts, counts)]
 
 
 class Dag:
@@ -59,8 +63,9 @@ class Dag:
     vertex_count : int
         Number of vertices; ids are 0..vertex_count-1.
     edges : iterable of (int, int)
-        Directed edges (duplicates are dropped; the edge list is stored
-        sorted, so neighbor iteration is in ascending vertex order).
+        Directed edges, in any order (duplicates are dropped). They are
+        stored once, sorted, as an out-adjacency in CSR form, so neighbor
+        iteration is in ascending vertex order.
     source, terminal : int
         The designated S and T vertices.
     binding : mapping or sequence, optional
@@ -87,8 +92,9 @@ class Dag:
             raise ValueError("edge endpoint out of range")
         if not (0 <= source < n) or not (0 <= terminal < n):
             raise ValueError("source/terminal out of range")
-        if e.size:
-            e = np.unique(e, axis=0)  # sorts lexicographically and dedupes
+        if e.size:  # sort lexicographically, drop repeats
+            e = e[np.lexsort((e[:, 1], e[:, 0]))]
+            e = e[np.r_[True, (e[1:] != e[:-1]).any(axis=1)]]
 
         if binding is None:
             bind = np.arange(n, dtype=np.int64)
@@ -117,30 +123,20 @@ class Dag:
         self._source = int(source)
         self._terminal = int(terminal)
         self._binding = bind
-        self._e_src = e[:, 0].copy()
-        self._e_dst = e[:, 1].copy()
-
-        # CSR adjacency, both directions; neighbor lists ascending.
-        self._out_indptr, self._out_indices = self._csr(self._e_src, self._e_dst)
-        self._in_indptr, self._in_indices = self._csr(self._e_dst, self._e_src)
+        # The one edge store: out-adjacency in CSR form, neighbors ascending.
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(e[:, 0], minlength=n), out=self._indptr[1:])
+        self._indices = e[:, 1].copy()
 
         self._bound_vertices = np.flatnonzero(bind != UNBOUND)
         self._bound_vars = bind[self._bound_vertices]
-        for arr in (self._binding, self._e_src, self._e_dst, self._out_indptr,
-                    self._out_indices, self._in_indptr, self._in_indices,
+        for arr in (self._binding, self._indptr, self._indices,
                     self._bound_vertices, self._bound_vars):
             arr.setflags(write=False)
         self._levels = None
         self._level_ok = None
         self._dp_plan = None
         self._reach_t = None
-
-    def _csr(self, frm, to):
-        order = np.lexsort((to, frm))
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.add.at(indptr, frm + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, to[order].copy()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -150,7 +146,7 @@ class Dag:
 
     @property
     def edge_count(self) -> int:
-        return int(self._e_src.size)
+        return int(self._indices.size)
 
     @property
     def source(self) -> int:
@@ -168,15 +164,22 @@ class Dag:
     def binding(self) -> np.ndarray:
         return self._binding
 
+    def _sources(self) -> np.ndarray:
+        """Source vertex of each stored edge, in storage order."""
+        return np.repeat(np.arange(self._n), np.diff(self._indptr))
+
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array, sorted lexicographically."""
-        return np.column_stack((self._e_src, self._e_dst))
+        return np.column_stack((self._sources(), self._indices))
 
     def out_neighbors(self, v: int) -> np.ndarray:
-        return self._out_indices[self._out_indptr[v]:self._out_indptr[v + 1]]
+        return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
-        return self._in_indices[self._in_indptr[v]:self._in_indptr[v + 1]]
+        """Predecessors of v, ascending. Only out-edges are stored, so this
+        scans every edge: O(|E|) per call."""
+        pos = np.flatnonzero(self._indices == v)
+        return np.searchsorted(self._indptr, pos, side="right") - 1
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.out_neighbors(u)
@@ -189,8 +192,8 @@ class Dag:
         return (self._n == other._n and self._source == other._source
                 and self._terminal == other._terminal and self._dim == other._dim
                 and np.array_equal(self._binding, other._binding)
-                and np.array_equal(self._e_src, other._e_src)
-                and np.array_equal(self._e_dst, other._e_dst))
+                and np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     __hash__ = None
 
@@ -209,15 +212,13 @@ class Dag:
         if self._levels is not None:
             return self._levels, self._level_ok
         n = self._n
-        indeg = np.bincount(self._e_dst, minlength=n)
+        indeg = np.bincount(self._indices, minlength=n)
         level = np.zeros(n, dtype=np.int64)
-        frontier = np.flatnonzero(indeg == 0).astype(np.int64)
+        frontier = np.flatnonzero(indeg == 0)
         seen = int(frontier.size)
         while frontier.size:
-            srcs, dsts = _csr_gather(self._out_indptr, self._out_indices, frontier)
-            if dsts.size == 0:
-                break
-            np.maximum.at(level, dsts, level[srcs] + 1)
+            counts, _, dsts = _csr_gather(self._indptr, self._indices, frontier)
+            np.maximum.at(level, dsts, np.repeat(level[frontier] + 1, counts))
             indeg -= np.bincount(dsts, minlength=n)
             touched = np.unique(dsts)
             frontier = touched[indeg[touched] == 0]
@@ -233,35 +234,39 @@ class Dag:
             return self._reach_t
         mask = np.zeros(self._n, dtype=bool)
         mask[self._terminal] = True
-        frontier = np.array([self._terminal], dtype=np.int64)
-        while frontier.size:
-            _, preds = _csr_gather(self._in_indptr, self._in_indices, frontier)
-            if preds.size == 0:
-                break
-            new = np.unique(preds[~mask[preds]])
-            mask[new] = True
-            frontier = new
+        for ed, offs, src in self._projection_plan():
+            mask[src] = np.logical_or.reduceat(mask[ed], offs)
         self._reach_t = mask
         self._reach_t.setflags(write=False)
         return mask
 
     def _projection_plan(self):
-        """Edges grouped by source level, descending, runs per source.
+        """The one reverse-level traversal: a list of groups (targets, run
+        offsets, run sources), one group per source level, descending.
 
-        Used by the longest-path DP: processing groups in this order makes
-        every edge target final before its source is reduced.
+        Within a group the edges stay in (source, target) order, one run per
+        source, so a ``reduceat`` over the targets' values at the offsets
+        reduces each source's out-neighbors. Processing the groups in order
+        makes every edge target final before its source is reduced. This
+        drives the longest-path DP of the projection, reachability of the
+        terminal and the exact path counts. Edges leaving the terminal are
+        left out: no S-T path uses them, and the terminal's value is fixed.
         """
         if self._dp_plan is not None:
             return self._dp_plan
         levels, ok = self._level_info()
         if not ok:
             raise GraphStructureError("graph contains a cycle")
-        if self._e_src.size == 0:
+        es = self._sources()
+        keep = es != self._terminal
+        es, ed = es[keep], self._indices[keep]
+        if es.size == 0:
             self._dp_plan = []
             return self._dp_plan
-        lv = levels[self._e_src]
-        order = np.lexsort((self._e_dst, self._e_src, -lv))
-        es, ed, lvs = self._e_src[order], self._e_dst[order], lv[order]
+        lv = levels[es]
+        # A stable sort keeps the stored (source, target) order in each level.
+        order = np.argsort(-lv, kind="stable")
+        es, ed, lvs = es[order], ed[order], lv[order]
         run_starts = np.flatnonzero(np.r_[True, es[1:] != es[:-1]])
         chunk_starts = np.flatnonzero(np.r_[True, lvs[1:] != lvs[:-1]])
         chunk_bounds = np.r_[chunk_starts, es.size]
@@ -303,10 +308,10 @@ def validate(dag: Dag) -> ValidationReport:
 def topological_order(dag: Dag) -> np.ndarray:
     """Topological order of all vertices, ties broken by ascending vertex id."""
     n = dag.vertex_count
-    indeg = np.bincount(dag._e_dst, minlength=n).tolist()
+    indeg = np.bincount(dag._indices, minlength=n).tolist()
     heap = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(heap)
-    indptr, nbrs = dag._out_indptr, dag._out_indices
+    indptr, nbrs = dag._indptr, dag._indices
     order = []
     while heap:
         u = heapq.heappop(heap)
@@ -320,18 +325,14 @@ def topological_order(dag: Dag) -> np.ndarray:
     return np.asarray(order, dtype=np.int64)
 
 
-def _ways_to_terminal(dag: Dag) -> list[int]:
+def _ways_to_terminal(dag: Dag) -> np.ndarray:
     """ways[v] = exact number of paths from v to the terminal, as Python
-    integers (so never overflowing), filled in reverse level order."""
-    levels, acyclic = dag._level_info()
-    if not acyclic:
-        raise GraphStructureError("graph contains a cycle")
-    ways = [0] * dag.vertex_count
+    integers in an object array (so never overflowing), summed over the
+    projection plan."""
+    ways = np.zeros(dag.vertex_count, dtype=object)
     ways[dag.terminal] = 1
-    indptr, nbrs = dag._out_indptr, dag._out_indices
-    for v in np.argsort(-levels, kind="stable").tolist():
-        if v != dag.terminal:
-            ways[v] = sum(ways[u] for u in nbrs[indptr[v]:indptr[v + 1]].tolist())
+    for ed, offs, src in dag._projection_plan():
+        ways[src] = np.add.reduceat(ways[ed], offs)
     return ways
 
 

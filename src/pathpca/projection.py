@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNBOUND, Dag, GraphStructureError, Path, make_path
+from .graph import UNBOUND, Dag, GraphStructureError, Path, _csr_gather, make_path
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
     # terminal has a successor with finite best, so the steps need no checks.
     if (best[dag.source] == -np.inf).any():
         raise GraphStructureError("terminal unreachable from source")
-    indptr, indices = dag._out_indptr, dag._out_indices
     cols = best.shape[1] if best.ndim == 2 else 1
     act = np.arange(cols)
     cur = np.full(cols, dag.source, dtype=np.int64)
@@ -93,11 +92,7 @@ def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
             act, cur = act[~done], cur[~done]
             if not act.size:
                 break
-        lo = indptr[cur]
-        cnt = indptr[cur + 1] - lo
-        ends = cnt.cumsum()
-        offs = ends - cnt
-        nb = indices[np.arange(ends[-1]) + np.repeat(lo - offs, cnt)]
+        cnt, offs, nb = _csr_gather(dag._indptr, dag._indices, cur)
         vals = best[nb] if best.ndim == 1 else best[nb, np.repeat(act, cnt)]
         hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, offs), cnt))
         cur = nb[hit[np.searchsorted(hit, offs)]]

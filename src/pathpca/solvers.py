@@ -306,14 +306,7 @@ def _top_k_unit(w: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(a, a.size - k)[a.size - k]
     keep = a > kth
     keep[np.flatnonzero(a == kth)[:k - np.count_nonzero(keep)]] = True
-    sel = np.flatnonzero(keep)
-    x = np.zeros(w.size)
-    nrm = float(np.linalg.norm(w[sel]))
-    if nrm == 0.0:
-        x[sel] = 1.0 / np.sqrt(k)
-    else:
-        x[sel] = w[sel] / nrm
-    return x
+    return _unit_on(w, np.flatnonzero(keep))[0]
 
 
 def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,

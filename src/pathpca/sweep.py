@@ -124,15 +124,21 @@ def nearest_divisor_layers(p: int) -> int:
     return min(divisors, key=lambda k: (abs(k - target), k))
 
 
+def _layer_shape(p: int, k, d) -> tuple[int, int]:
+    """Layer count and out-degree of a layer graph on p vertices, with
+    k = 'auto' resolved by ``nearest_divisor_layers`` and d = 'full' as the
+    layer width (p-2)/k."""
+    k = nearest_divisor_layers(p) if k == "auto" else int(k)
+    return k, ((p - 2) // k if d == "full" else int(d))
+
+
 def resolve_graph(cfg: SweepConfig, dag: Dag | None = None) -> tuple[Dag, dict]:
     """Build or accept the sweep's graph; returns it plus resolved parameters."""
     if dag is not None:
         return dag, {"graph": "provided", "vertex_count": dag.vertex_count,
                      "dim": dag.dim}
     p = int(cfg.p)
-    k = nearest_divisor_layers(p) if cfg.k == "auto" else int(cfg.k)
-    width = (p - 2) // k
-    d = width if cfg.d == "full" else int(cfg.d)
+    k, d = _layer_shape(p, cfg.k, cfg.d)
     g = build_layer_graph(p, k, d)
     return g, {"p": p, "k": k, "d": d, "vertex_count": p, "dim": p}
 
@@ -216,6 +222,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
                 sigma = covariance_with_spectrum(x_star, _spectrum(cfg, graph.dim))
                 y = gaussian_sampler(sigma, n, (cseed, 1))
             sigma_hat = empirical_covariance(y)
+            del y  # (p, n) samples; only their covariance is used from here on
             truth_nnz = int(np.count_nonzero(x_star))
             cov = sigma_hat  # prepared by the first solver, shared by the rest
             for solver in solvers:

@@ -12,6 +12,7 @@ from pathpca import (
     enumerate_paths,
     is_st_path,
     make_path,
+    project,
     topological_order,
     validate,
 )
@@ -69,6 +70,128 @@ class TestDagBasics:
             Dag(3, [(0, 1), (1, 2)], 0, 2, binding={1: 3}, dim=2)  # var >= dim
         with pytest.raises(ValueError):
             Dag(3, [(0, 1), (1, 2)], 0, 2, binding=[0, 1])  # wrong length
+
+
+def _dfs_paths(dag):
+    """Every S-T path, by plain recursion over ``edges()``; a path ends at its
+    first visit to the terminal."""
+    succ = {}
+    for u, v in dag.edges().tolist():
+        succ.setdefault(u, []).append(v)
+    out = []
+
+    def extend(path):
+        if path[-1] == dag.terminal:
+            out.append(tuple(path))
+            return
+        for u in sorted(succ.get(path[-1], ())):
+            extend(path + [u])
+
+    extend([dag.source])
+    return out
+
+
+def _bfs_reach(dag):
+    """Vertices with a path to the terminal, by a backward search over
+    ``edges()``."""
+    pred = {}
+    for u, v in dag.edges().tolist():
+        pred.setdefault(v, []).append(u)
+    mask = np.zeros(dag.vertex_count, dtype=bool)
+    mask[dag.terminal] = True
+    todo = [dag.terminal]
+    while todo:
+        for u in pred.get(todo.pop(), ()):
+            if not mask[u]:
+                mask[u] = True
+                todo.append(u)
+    return mask
+
+
+# Graphs Dag accepts that validate() rejects or that have vertices off every
+# S-T path, keyed by what makes them awkward.
+AWKWARD = {
+    "dead ends": Dag(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 6), (1, 4), (5, 6)], 0, 6),
+    "unreachable terminal": Dag(4, [(0, 1), (2, 3)], 0, 3),
+    "terminal with out-edge": Dag(4, [(0, 1), (1, 2), (2, 3)], 0, 2),
+    "terminal with out-edges, two routes":
+        Dag(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4)], 0, 3),
+    "source is terminal": Dag(3, [(0, 1), (1, 2)], 0, 0),
+    "source is an interior terminal": Dag(3, [(0, 1), (1, 2)], 1, 1),
+}
+
+
+class TestEdgeStore:
+    def test_shuffled_duplicates_give_the_same_dag(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            raw = np.sort(rng.integers(0, n, size=(int(rng.integers(n, 5 * n)), 2)), axis=1)
+            raw = raw[raw[:, 0] != raw[:, 1]]  # forward edges only, so acyclic
+            noisy = np.concatenate([raw, raw[rng.integers(0, len(raw), size=len(raw))]])
+            noisy = noisy[rng.permutation(len(noisy))]
+            unique = np.unique(raw, axis=0)
+            d = Dag(n, noisy, 0, n - 1)
+            assert np.array_equal(d.edges(), unique)
+            assert d.edge_count == len(unique)
+            assert d == Dag(n, unique, 0, n - 1) == Dag(n, d.edges(), 0, n - 1)
+
+    def test_rebuild_from_edges_is_equal(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            d = random_dag(rng, max_interior=20)
+            kw = dict(binding=d.binding, dim=d.dim)
+            assert Dag(d.vertex_count, d.edges(), d.source, d.terminal, **kw) == d
+
+    def test_in_neighbors_scan_the_edges(self):
+        rng = np.random.default_rng(9)
+        for d in [diamond(), *AWKWARD.values()] + [random_dag(rng) for _ in range(10)]:
+            e = d.edges()
+            for v in range(d.vertex_count):
+                assert d.in_neighbors(v).tolist() == sorted(e[e[:, 1] == v, 0].tolist())
+
+    @pytest.mark.parametrize("p,k,d", [(130, 4, 8), (1026, 8, 32), (10_002, 10, 4)])
+    def test_edges_are_held_once(self, p, k, d):
+        g = build_layer_graph(p, k, d)
+        held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
+        assert held <= 8 * (g.edge_count + 4 * (g.vertex_count + 1))
+
+
+class TestReversePasses:
+    """Reachability, path counts and the projection run over one plan; each
+    agrees with an oracle that reads only ``edges()``."""
+
+    def cases(self):
+        rng = np.random.default_rng(31)
+        return list(AWKWARD.values()) + [random_dag(rng, max_interior=16, max_paths=500)
+                                         for _ in range(25)]
+
+    def test_reach_matches_backward_search(self):
+        for d in self.cases():
+            assert np.array_equal(d._reach_terminal(), _bfs_reach(d))
+
+    def test_count_and_enumeration_match_recursion(self):
+        for d in self.cases():
+            paths = _dfs_paths(d)
+            assert count_paths(d) == len(paths)
+            assert [p.vertices for p in enumerate_paths(d, cap=10**6)] == paths
+
+    def test_projection_takes_the_first_best_enumerated_path(self):
+        rng = np.random.default_rng(32)
+        for d in self.cases():
+            paths = _dfs_paths(d)
+            w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=d.dim)  # exact sums, many ties
+            if not paths:
+                with pytest.raises(GraphStructureError):
+                    project(d, w)
+                continue
+            score = [np.sum(w[sorted(make_path(d, p).support)] ** 2) for p in paths]
+            assert project(d, w).path.vertices == paths[int(np.argmax(score))]
+
+    def test_source_equal_to_terminal(self):
+        d = AWKWARD["source is terminal"]
+        assert count_paths(d) == 1
+        assert project(d, np.array([3.0, 1.0, 2.0])).x.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestValidate:

@@ -153,6 +153,28 @@ class TestGraphTruncatedPower:
             graph_truncated_power(np.eye(4), dag, PowerMethodConfig(init=np.ones(3)))
 
 
+class TestTerminalWithOutEdge:
+    """No S-T path uses an edge leaving the terminal, so every solver sees the
+    one path 0-1-2 of this graph, as enumeration does."""
+
+    def test_solvers_agree_with_enumeration(self):
+        dag = Dag(4, [(0, 1), (1, 2), (2, 3)], 0, 2)
+        only = [p.vertices for p in enumerate_paths(dag)]
+        assert only == [(0, 1, 2)]
+        rng = np.random.default_rng(12)
+        sigma = random_psd(4, rng)
+        w = rng.standard_normal(4)
+        pv = project(dag, w)
+        assert pv.path.vertices == only[0]
+        assert np.allclose(pv.x[:3], w[:3] / np.linalg.norm(w[:3])) and pv.x[3] == 0.0
+        power = graph_truncated_power(sigma, dag)
+        brute = brute_force_solve(sigma, dag)
+        assert power.path.vertices == brute.path.vertices == only[0]
+        lam = np.linalg.eigvalsh(sigma[:3, :3])[-1]
+        assert brute.objective == pytest.approx(lam, rel=1e-12)
+        assert power.objective == pytest.approx(lam, rel=1e-6)
+
+
 class TestSampleAndProject:
     def test_rank_one_ignores_budget_bit_for_bit(self):
         dag = build_layer_graph(18, 4, 4)
