@@ -26,9 +26,9 @@ from .projection import project
 from .solvers import (PowerMethodConfig, SampleProjectConfig,
                       brute_force_solve, graph_truncated_power,
                       sample_and_project, sparse_truncated_power)
-from .sweep import (InternalInvariantError, _layer_shape, check_structured_output,
-                    parse_kv_file, parse_sweep_config, run_sweep, write_sidecar,
-                    write_sweep_csv)
+from .sweep import (InternalInvariantError, _layer_shape, _load_valid_graph,
+                    check_structured_output, parse_kv_file, parse_sweep_config,
+                    run_sweep, write_sidecar, write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
@@ -90,12 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _require_valid(dag, name: str):
-    report = validate(dag)
-    if not report.ok:
-        raise ParseError(name, None, "; ".join(report.violations))
-
-
 def _load_sigma(args) -> np.ndarray:
     if str(args.data).endswith(".json"):
         return load_covariance_json(args.data)
@@ -133,8 +127,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    dag = load_graph(args.graph)
-    _require_valid(dag, args.graph)
+    dag = _load_valid_graph(args.graph)
     sigma = _load_sigma(args)
     if sigma.shape[0] != dag.dim:
         raise ValueError(f"data is {sigma.shape[0]}-dimensional but the graph "
@@ -193,13 +186,7 @@ def cmd_sweep(args) -> int:
     cfg = parse_sweep_config(parse_kv_file(args.config))
     if args.seed is not None:
         cfg.seed = args.seed
-    dag = None
-    if args.graph:
-        dag = load_graph(args.graph)
-        _require_valid(dag, args.graph)
-    elif cfg.graph_file:
-        dag = load_graph(cfg.graph_file)
-        _require_valid(dag, cfg.graph_file)
+    dag = _load_valid_graph(args.graph) if args.graph else None
     records, resolved = run_sweep(cfg, dag)
     write_sweep_csv(records, args.out)
     sidecar = str(args.out) + ".json"
@@ -211,8 +198,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
-    dag = load_graph(args.graph)
-    _require_valid(dag, args.graph)
+    dag = _load_valid_graph(args.graph)
     w = load_vector(args.vector)
     if w.size != dag.dim:
         raise ValueError(f"vector has length {w.size}, graph binds {dag.dim}")

@@ -10,11 +10,11 @@ so the winning path is the one with the largest restricted norm.
 
 The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
-values. Both run on a (V, B) block of weight columns at once, which is how
-``solvers.sample_and_project`` projects its candidates; ``project`` and
-``longest_weighted_path`` are the B=1 case, on 1-D arrays. There is one DP
-and one walk, so single and batched projections agree bit for bit, tie-break
-included.
+values. Both run on a (V, B) block of weight columns at once: ``_paths``
+projects a block, and ``solvers.sample_and_project`` projects its candidates
+through it in chunks; each chunk's arrays fit the budget (``_block_width``).
+``project`` and ``longest_weighted_path`` are the B=1 case, on 1-D arrays. There is one DP and one walk, so single and batched
+projections agree bit for bit, tie-break included.
 """
 
 from __future__ import annotations
@@ -44,28 +44,22 @@ class ProjectedVector:
     degenerate: bool = False
 
 
-def _vertex_weights(dag: Dag, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _vertex_weights(dag: Dag, w: np.ndarray) -> np.ndarray:
     """Per-vertex weights of a (dim,) vector or (dim, B) block: the weight of
-    the bound variable, zero on unbound vertices. ``out`` must start zeroed."""
-    if out is None:
-        out = np.zeros((dag.vertex_count,) + w.shape[1:])
+    the bound variable, zero on unbound vertices."""
+    out = np.zeros((dag.vertex_count,) + w.shape[1:])
     out[dag._bound_vertices] = w[dag._bound_vars]
     return out
 
 
-def _best_to_terminal(dag: Dag, vw: np.ndarray, best: np.ndarray | None = None,
-                      gather: np.ndarray | None = None) -> np.ndarray:
+def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
     """best[v] = max over S-T-suffix paths starting at v of the summed vertex
     weight, -inf where the terminal is unreachable; per column of a (V, B)
-    block. ``best`` (V, B) and ``gather`` (largest level group's edge count,
-    B) are optional buffers to fill instead of allocating."""
-    if best is None:
-        best = np.empty(vw.shape)
-    best.fill(-np.inf)
+    block."""
+    best = np.full(vw.shape, -np.inf)
     best[dag.terminal] = vw[dag.terminal]
     for ed, offs, src in dag._projection_plan():
-        g = best[ed] if gather is None else np.take(best, ed, axis=0, out=gather[:ed.size])
-        best[src] = vw[src] + np.maximum.reduceat(g, offs, axis=0)
+        best[src] = vw[src] + np.maximum.reduceat(best[ed], offs, axis=0)
     return best
 
 
@@ -117,32 +111,22 @@ def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return sup, (sup != pad).sum(axis=0)
 
 
-class _Block:
-    """Arrays for projecting up to ``cols`` weight columns at once, allocated
-    once and reused: the weights ``w`` (dim, cols) that the caller fills, the
-    vertex weights, the DP values, and the gather buffer of the largest level
-    group. ``cols`` is cut so that these four fit ``budget`` bytes, but is at
-    least 1; the walk's per-step temporaries are no larger than the gather
-    buffer."""
+def _block_width(dag: Dag, budget: int) -> int:
+    """Columns per ``_paths`` call whose arrays fit ``budget`` bytes, but at
+    least 1: the weights (dim rows), the vertex weights and DP values (|V|
+    rows each) and the gather of the largest level group; the walk's
+    per-step temporaries are no larger than that gather."""
+    group = max((ed.size for ed, _, _ in dag._projection_plan()), default=0)
+    return max(1, budget // (8 * (dag.dim + 2 * dag.vertex_count + group)))
 
-    def __init__(self, dag: Dag, cols: int, budget: int):
-        group = max((ed.size for ed, _, _ in dag._projection_plan()), default=0)
-        n = dag.vertex_count
-        self.dag = dag
-        self.cols = max(1, min(cols, budget // (8 * (dag.dim + 2 * n + group))))
-        self.w = np.empty((dag.dim, self.cols))
-        self._vw = np.zeros((n, self.cols))
-        self._best = np.empty((n, self.cols))
-        self._gather = np.empty((group, self.cols))
 
-    def paths(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best paths for the first ``b`` columns of ``w``, squared as in
-        ``project``: the walk's (L, b) vertex rows, then ``_sorted_supports``."""
-        vw = _vertex_weights(self.dag, self.w[:, :b], self._vw[:, :b])
-        np.square(vw, out=vw)
-        best = _best_to_terminal(self.dag, vw, self._best[:, :b], self._gather[:, :b])
-        verts = _walk(self.dag, best)
-        return (verts,) + _sorted_supports(self.dag, verts)
+def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best paths of the columns of a (dim, B) weight block, squared as in
+    ``project``: the walk's (L, B) vertex rows, then ``_sorted_supports``."""
+    vw = _vertex_weights(dag, w)
+    np.square(vw, out=vw)
+    verts = _walk(dag, _best_to_terminal(dag, vw))
+    return (verts,) + _sorted_supports(dag, verts)
 
 
 def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -199,13 +183,19 @@ def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
     If w vanishes on every bound vertex of every path, the result is flagged
     degenerate: a uniform loading on the bound vertices of the tie-break path
     (the lexicographically smallest one). ValueError if that path binds no
-    variables at all, since no unit vector exists there.
+    variables at all, since no unit vector exists there, and for a w that is
+    not finite or whose squares overflow.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (dag.dim,):
         raise ValueError(f"expected a vector of length {dag.dim}, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("input vector must be finite")
-    res = longest_weighted_path(dag, w * w)
-    x, degenerate = _unit_on(w, res.path.sorted_support())
-    return ProjectedVector(x=x, path=res.path, degenerate=degenerate)
+    vw = _vertex_weights(dag, w)
+    np.square(vw, out=vw)
+    best = _best_to_terminal(dag, vw)
+    if not best[dag.source] < np.inf:  # +inf or nan: a square overflowed
+        raise ValueError("input vector too large: its squares overflow")
+    path = make_path(dag, _walk(dag, best), check=False)
+    x, degenerate = _unit_on(w, path.sorted_support())
+    return ProjectedVector(x=x, path=path, degenerate=degenerate)

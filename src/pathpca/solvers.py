@@ -10,7 +10,7 @@ Two heuristics and one exact reference:
   enough samples this approximates the best rank-r answer, but note it is a
   poor fit for spiked covariances at scale, where the useful rank grows with
   the dimension. The candidates are projected in chunks, one block DP and
-  walk per chunk, with the block arrays held under ``_BLOCK_BYTES``.
+  walk per chunk; each chunk's arrays fit the budget ``_BLOCK_BYTES``.
 - ``brute_force_solve``: per-path leading eigenpairs over an enumeration of
   all S-T paths; exact up to the eigensolver, for small path counts.
 
@@ -35,10 +35,11 @@ import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, Path, enumerate_paths, make_path
-from .projection import ProjectedVector, _Block, _unit_on, project
+from .projection import ProjectedVector, _block_width, _paths, _unit_on, project
 
-# Byte budget of the arrays sample_and_project projects its candidates in
-# (see projection._Block): it sets how many candidates share one DP pass.
+# Byte budget of the arrays sample_and_project projects each chunk of its
+# candidates in (see projection._block_width): it sets how many candidates
+# share one DP pass.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -106,19 +107,20 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
 
     ``step(w)`` returns ``(x, idx, item)``: the feasible unit vector nearest
     w, the ascending indices ``idx`` of its support (an int array that holds
-    every nonzero of x), and an item returned for the best iterate. Each
-    iterate is multiplied only on its support: ``u = x[idx] @ s[idx]`` gathers
-    |idx| rows and equals ``s @ x`` because s is exactly symmetric, the
-    Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and u is the next
-    step's input, so an iteration costs one O(p * |idx|) product. A "diag" or
-    "random" start is stepped and counts in the trace; an explicit start is
-    used as-is, with one dense ``s @ x`` for its first multiply.
+    every nonzero of x), and an item returned for the best iterate; no other
+    item is kept. Each iterate is multiplied only on its support: ``u =
+    x[idx] @ s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is
+    exactly symmetric, the Rayleigh quotient is read off as ``x[idx] @
+    u[idx]``, and u is the next step's input, so an iteration costs one
+    O(p * |idx|) product. A "diag" or "random" start is stepped and counts
+    in the trace; an explicit start is used as-is, with one dense ``s @ x``
+    for its first multiply.
 
     Stops when the iterate moves less than ``tol`` (stop reason "step"),
     when the support has been stable for two consecutive steps with
     objective change at most ``tol`` ("stable"), or at ``max_iters``
     ("max_iters"). Returns the best iterate (first on ties) as a result with
-    ``path=None`` and its stop reason, its item, and every item in order.
+    ``path=None`` and its stop reason, plus its item.
     """
     cfg = cfg if cfg is not None else PowerMethodConfig()
     p = s.shape[0]
@@ -130,7 +132,7 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
         x, idx, item = step(w)
         u = x[idx] @ s[idx]
         obj = float(x[idx] @ u[idx])
-        trace, items = [obj], [item]
+        trace = [obj]
         best_x, best_obj, best_item, prev_idx = x, obj, item, idx
     else:
         x = np.asarray(cfg.init, dtype=float)
@@ -139,7 +141,7 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
         if not np.all(np.isfinite(x)):
             raise ValueError("start vector must be finite")
         u = s @ x
-        trace, items = [], []
+        trace = []
         best_x, best_obj, best_item, prev_idx = None, -np.inf, None, None
 
     stable = 0
@@ -149,9 +151,9 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
         u = nxt[idx] @ s[idx]
         obj = float(nxt[idx] @ u[idx])
         trace.append(obj)
-        items.append(item)
         if best_x is None or obj > best_obj:
             best_x, best_obj, best_item = nxt, obj, item
+        del item  # keep no item but the best one
         moved = float(np.linalg.norm(nxt - x))
         if (prev_idx is not None and np.array_equal(idx, prev_idx)
                 and abs(obj - trace[-2]) <= cfg.tol):
@@ -168,7 +170,7 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     res = EstimateResult(x=best_x, path=None, objective=best_obj,
                          iterations=iterations, trace=trace,
                          stop_reason=stop_reason)
-    return res, best_item, items
+    return res, best_item
 
 
 def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
@@ -185,15 +187,19 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
     Requires PSD input; that is what makes the trace monotone.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
+    iterates = [] if record_iterates else None
+    degenerate = 0
 
     def step(w):
+        nonlocal degenerate
         pv = project(dag, w)
+        degenerate += pv.degenerate
+        if iterates is not None:
+            iterates.append(pv)
         return pv.x, pv.path.sorted_support(), pv
 
-    res, best, iterates = _truncated_power(s, step, config)
-    return replace(res, path=best.path,
-                   degenerate=sum(pv.degenerate for pv in iterates),
-                   iterates=iterates if record_iterates else None)
+    res, best = _truncated_power(s, step, config)
+    return replace(res, path=best.path, degenerate=degenerate, iterates=iterates)
 
 
 def _direction(key: tuple[int, ...], i: int, rank: int) -> np.ndarray:
@@ -222,24 +228,24 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
     irrelevant. The trace records each candidate's ||V^T x||^2.
 
     The candidates are projected in chunks of columns, each chunk through one
-    block DP and walk (bit-identical to ``project`` on each w_i); the block
-    arrays are allocated once and stay within ``_BLOCK_BYTES`` unless a
-    single column alone exceeds it. A Path is built for the winner only.
+    block DP and walk (bit-identical to ``project`` on each w_i); each
+    chunk's arrays fit the budget ``_BLOCK_BYTES`` unless a single column
+    alone exceeds it. A Path is built for the winner only.
     """
     cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
     key = seed_key(config.seed)
-    block = _Block(dag, config.budget, _BLOCK_BYTES)
+    cols = _block_width(dag, _BLOCK_BYTES)
 
     best_x, best_ro, best_verts = None, -np.inf, None
     trace: list[float] = []
-    for start in range(0, config.budget, block.cols):
-        b = min(block.cols, config.budget - start)
-        for j in range(b):
-            block.w[:, j] = v @ _direction(key, start + j, config.rank)
-        verts, sup, counts = block.paths(b)
-        for j in range(b):
-            x, _ = _unit_on(block.w[:, j], sup[:counts[j], j])
+    for start in range(0, config.budget, cols):
+        w = np.empty((dag.dim, min(cols, config.budget - start)))
+        for j in range(w.shape[1]):
+            w[:, j] = v @ _direction(key, start + j, config.rank)
+        verts, sup, counts = _paths(dag, w)
+        for j in range(w.shape[1]):
+            x, _ = _unit_on(w[:, j], sup[:counts[j], j])
             ro = float(np.sum((v.T @ x) ** 2))
             trace.append(ro)
             if best_x is None or ro > best_ro:

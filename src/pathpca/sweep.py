@@ -32,7 +32,8 @@ from . import __version__
 from .data import (Covariance, SpikedModelParams, covariance_with_spectrum,
                    empirical_covariance, gaussian_sampler, prepare_covariance,
                    random_path_vector, sample_spiked)
-from .graph import Dag, build_layer_graph, count_paths, is_st_path
+from .fileio import ParseError, _content_lines, load_graph
+from .graph import Dag, build_layer_graph, count_paths, is_st_path, validate
 from .metrics import evaluate
 from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
                       brute_force_solve, graph_truncated_power,
@@ -132,8 +133,21 @@ def _layer_shape(p: int, k, d) -> tuple[int, int]:
     return k, ((p - 2) // k if d == "full" else int(d))
 
 
+def _load_valid_graph(path) -> Dag:
+    """Load a graph file and check its invariants; ParseError naming the file
+    for either failure."""
+    dag = load_graph(path)
+    report = validate(dag)
+    if not report.ok:
+        raise ParseError(path, None, "; ".join(report.violations))
+    return dag
+
+
 def resolve_graph(cfg: SweepConfig, dag: Dag | None = None) -> tuple[Dag, dict]:
-    """Build or accept the sweep's graph; returns it plus resolved parameters."""
+    """Accept the sweep's graph, load ``cfg.graph_file`` or build the layer
+    graph, in that order; returns it plus resolved parameters."""
+    if dag is None and cfg.graph_file is not None:
+        dag = _load_valid_graph(cfg.graph_file)
     if dag is not None:
         return dag, {"graph": "provided", "vertex_count": dag.vertex_count,
                      "dim": dag.dim}
@@ -179,22 +193,22 @@ def _best_of_starts(run, cfg: SweepConfig, stream: tuple) -> EstimateResult:
     return replace(best, iterations=total)
 
 
-def _run_one(solver: str, sigma_hat: Covariance, dag: Dag, cfg: SweepConfig,
+def _run_one(solver: str, cov: Covariance, dag: Dag, cfg: SweepConfig,
              cseed: int, truth_nnz: int) -> EstimateResult:
     if solver == "power":
         return _best_of_starts(
-            lambda pc: graph_truncated_power(sigma_hat, dag, pc),
+            lambda pc: graph_truncated_power(cov, dag, pc),
             cfg, (cseed, 3))
     if solver == "sample":
         return sample_and_project(
-            sigma_hat, dag,
+            cov, dag,
             SampleProjectConfig(rank=cfg.rank, budget=cfg.budget, seed=(cseed, 2)))
     if solver == "brute":
-        return brute_force_solve(sigma_hat, dag, cap=cfg.cap)
+        return brute_force_solve(cov, dag, cap=cfg.cap)
     if solver == "sparse-power":
         k = truth_nnz if cfg.sparsity == "auto" else int(cfg.sparsity)
         return _best_of_starts(
-            lambda pc: sparse_truncated_power(sigma_hat, k, pc),
+            lambda pc: sparse_truncated_power(cov, k, pc),
             cfg, (cseed, 4))
     raise ValueError(f"unknown solver {solver!r}")
 
@@ -206,8 +220,8 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
     exception class name becomes the status) and the sweep continues.
 
     A cell's covariance is validated and decomposed once, in the row of its
-    first solver, whose wall time includes that; the other solvers and all
-    restarts share it."""
+    first solver, whose wall time includes that; the other solvers, all
+    restarts and the metrics share it."""
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg, dag)
     solvers = sorted(cfg.solvers)
@@ -219,12 +233,13 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
             if cfg.model == "spiked":
                 y = sample_spiked(SpikedModelParams(x_star, cfg.beta), n, (cseed, 1))
             else:
-                sigma = covariance_with_spectrum(x_star, _spectrum(cfg, graph.dim))
-                y = gaussian_sampler(sigma, n, (cseed, 1))
-            sigma_hat = empirical_covariance(y)
+                y = gaussian_sampler(
+                    covariance_with_spectrum(x_star, _spectrum(cfg, graph.dim)),
+                    n, (cseed, 1))
+            # prepared by the first solver, shared by the rest
+            cov = empirical_covariance(y)
             del y  # (p, n) samples; only their covariance is used from here on
             truth_nnz = int(np.count_nonzero(x_star))
-            cov = sigma_hat  # prepared by the first solver, shared by the rest
             for solver in solvers:
                 t1 = time.perf_counter()
                 try:
@@ -241,7 +256,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
                     continue
                 if solver != "sparse-power":
                     check_structured_output(graph, res, solver)
-                rep = evaluate(res.x, x_star, sigma_hat)
+                rep = evaluate(res.x, x_star, cov.matrix)
                 records.append(ResultRecord(
                     trial=trial, n=n, solver=solver, seed=cseed, status="ok",
                     objective=res.objective, projector_loss=rep.projector_loss,
@@ -303,8 +318,6 @@ def write_sidecar(resolved: dict, path):
 
 def parse_kv_file(path) -> dict[str, str]:
     """'key = value' lines; # comments; later duplicate keys rejected."""
-    from .fileio import ParseError, _content_lines
-
     out: dict[str, str] = {}
     for line_no, text in _content_lines(path):
         if "=" not in text:

@@ -173,6 +173,10 @@ class TestProject:
         with pytest.raises(ValueError):
             project(d, np.array([1.0, np.inf, 0.0, 0.0]))
 
+    def test_rejects_vector_whose_squares_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            project(diamond(), np.array([0.0, 1e200, 0.5, 0.0]))
+
     def test_weights_are_vertex_indexed_not_variable_indexed(self):
         # variable 0 lives on vertex 3, variable 2 on vertex 1: projection must
         # route weights through the binding

@@ -1,6 +1,8 @@
 """Estimation algorithms: truncated power, sample-and-project, brute force,
 and the unstructured sparse baseline."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from pathpca import (
     sample_spiked,
     sparse_truncated_power,
 )
-from pathpca import projection, solvers
+from pathpca import solvers
 from pathpca.data import seed_key
 from pathpca.solvers import budget_for_epsilon
 
@@ -513,6 +515,42 @@ class TestSupportRestrictedLoop:
         assert res.degenerate == len(res.iterates) - 1 >= 1
         assert sparse_truncated_power(np.zeros((12, 12)), 3).degenerate == 0
 
+    def test_keeps_only_the_best_iterate(self, monkeypatch):
+        # without record_iterates, at most one earlier projection is alive
+        # whenever the next one is made: memory stays flat in the iterations
+        refs, alive = [], []
+
+        def tracked(dag_, w):
+            alive.append(sum(r() is not None for r in refs))
+            pv = original(dag_, w)
+            refs.append(weakref.ref(pv))
+            return pv
+
+        original = solvers.project
+        monkeypatch.setattr(solvers, "project", tracked)
+        dag = build_layer_graph(130, 8, 4)
+        x_star, _ = random_path_vector(dag, seed=409)
+        sigma = empirical_covariance(sample_spiked(
+            SpikedModelParams(x_star=x_star, beta=2.0), 60, seed=419))
+        # a tiny tol runs on into exact float ties and dips of the objective,
+        # where the best iterate is not the latest one
+        for init in ("diag", "random"):
+            refs.clear()
+            alive.clear()
+            cfg = PowerMethodConfig(init=init, seed=3, tol=1e-300)
+            res = graph_truncated_power(sigma, dag, cfg)
+            assert res.iterations >= 5
+            assert res.iterates is None
+            assert len(alive) == res.iterations + 1
+            assert max(alive) <= 1
+        monkeypatch.undo()
+        full = graph_truncated_power(sigma, dag, cfg, record_iterates=True)
+        assert full.trace.index(max(full.trace)) < len(full.trace) - 1
+        assert full.trace == res.trace
+        assert full.path == res.path
+        assert full.x.tobytes() == res.x.tobytes()
+        assert len(full.iterates) == len(refs)
+
 
 class TestTopK:
     def test_matches_full_sort_with_ties_and_zeros(self):
@@ -649,35 +687,27 @@ class TestSampleAndProjectBlock:
 
     @pytest.mark.parametrize("block_bytes", [40_000, 100_000, solvers._BLOCK_BYTES])
     def test_block_arrays_stay_within_budget(self, monkeypatch, block_bytes):
-        # record every array handed to the block DP; those it fills are views
-        # of the buffers, which must be allocated once and fit the budget
-        seen = {}
+        # every chunk's arrays fit the budget: its weights (dim rows), vertex
+        # weights and DP values (|V| rows each) and the gather of the largest
+        # level group, 8 bytes per entry and column
+        widths = []
 
-        def record(*arrays):
-            for a in arrays:
-                buf = a if a.base is None else a.base
-                seen[id(buf)] = buf
+        def paths(dag_, w):
+            assert w.shape[0] == dag_.dim
+            widths.append(w.shape[1])
+            return original_paths(dag_, w)
 
-        def vertex_weights(dag, w, out=None):
-            record(w, out)
-            return original_vertex_weights(dag, w, out)
-
-        def best_to_terminal(dag, vw, best=None, gather=None):
-            record(vw, best, gather)
-            return original_best_to_terminal(dag, vw, best, gather)
-
-        original_vertex_weights = projection._vertex_weights
-        original_best_to_terminal = projection._best_to_terminal
-
+        original_paths = solvers._paths
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(projection, "_vertex_weights", vertex_weights)
-        monkeypatch.setattr(projection, "_best_to_terminal", best_to_terminal)
+        monkeypatch.setattr(solvers, "_paths", paths)
         dag = build_layer_graph(130, 8, 4)
+        group = max(ed.size for ed, _, _ in dag._projection_plan())
         sigma = random_psd(130, np.random.default_rng(313))
         cfg = SampleProjectConfig(rank=2, budget=500, seed=1)
         res = sample_and_project(sigma, dag, cfg)
-        assert len(seen) == 4
-        assert sum(buf.nbytes for buf in seen.values()) <= block_bytes
-        assert min(buf.shape[1] for buf in seen.values()) > 1  # it did batch
+        assert sum(widths) == cfg.budget
+        for b in widths:
+            assert 8 * b * (dag.dim + 2 * dag.vertex_count + group) <= block_bytes
+        assert max(widths) > 1  # it did batch
         monkeypatch.undo()
         assert res.trace == sample_and_project(sigma, dag, cfg).trace

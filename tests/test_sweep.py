@@ -1,5 +1,6 @@
 """The experiment harness: seeded sweeps over (trial, n, solver) cells."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,16 @@ import pytest
 from pathpca import (
     Dag,
     InternalInvariantError,
+    ParseError,
     SweepConfig,
     build_layer_graph,
+    load_graph,
     make_path,
     run_sweep,
+    write_graph,
     write_sweep_csv,
 )
+from pathpca import sweep
 from pathpca.solvers import EstimateResult
 from pathpca.sweep import (
     CSV_COLUMNS,
@@ -176,6 +181,45 @@ class TestRunSweep:
         records, resolved = run_sweep(small_cfg(n_grid=[40], trials=1), dag=dag)
         assert all(r.status == "ok" for r in records)
         assert resolved["graph"]["graph"] == "provided"
+
+    def test_graph_file_equals_provided_graph(self, tmp_path):
+        f = tmp_path / "g.txt"
+        write_graph(build_layer_graph(14, 3, 2), f)
+        cfg = small_cfg(p=None, k=None, d=None, graph_file=str(f))
+        from_file, info = run_sweep(cfg)
+        provided, _ = run_sweep(cfg, dag=load_graph(f))
+        assert all(r.status == "ok" for r in from_file)
+        assert ([replace(r, wall_time=0.0) for r in from_file]
+                == [replace(r, wall_time=0.0) for r in provided])
+        assert info["graph"] == {"graph": "provided", "vertex_count": 14, "dim": 14}
+
+    def test_invalid_graph_file_raises_parse_error(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("p=3 source=0 terminal=2\nedge 0 1\nedge 1 0\nedge 1 2\n")
+        with pytest.raises(ParseError, match=r"bad\.txt.*cycle"):
+            run_sweep(SweepConfig(n_grid=[20], trials=1, graph_file=str(f)))
+
+    @pytest.mark.parametrize("model", ["spiked", "spectrum"])
+    def test_metrics_read_the_prepared_covariance(self, monkeypatch, model):
+        # one covariance per cell: evaluate gets the matrix the solvers got
+        received, evaluated = [], []
+
+        def run_one(solver, cov, *args):
+            received.append(cov)
+            return original_run_one(solver, cov, *args)
+
+        def evaluate(x, x_star, sigma):
+            evaluated.append(sigma)
+            return original_evaluate(x, x_star, sigma)
+
+        original_run_one, original_evaluate = sweep._run_one, sweep.evaluate
+        monkeypatch.setattr(sweep, "_run_one", run_one)
+        monkeypatch.setattr(sweep, "evaluate", evaluate)
+        records, _ = run_sweep(small_cfg(model=model, trials=1))
+        assert all(r.status == "ok" for r in records)
+        assert len(evaluated) == len(received) == len(records)
+        for cov, sigma in zip(received, evaluated):
+            assert sigma is cov.matrix
 
 
 class TestStructuredOutputCheck:
