@@ -365,40 +365,49 @@ def is_st_path(dag: Dag, vertices) -> bool:
     return all(dag.has_edge(u, v) for u, v in zip(verts[:-1], verts[1:]))
 
 
-def enumerate_paths(dag: Dag, cap: int = 10000) -> list[Path]:
-    """All S-T paths in lexicographic vertex-sequence order.
+def _path_array(dag: Dag, cap: int = 10000) -> np.ndarray:
+    """All S-T paths as the rows of an int array, in lexicographic order,
+    each padded with -1 after its terminal; an empty (0, 1) array when
+    there is none.
 
-    Refuses to enumerate when ``count_paths(dag) > cap``.
+    Built level by level: each open row is repeated once per out-neighbor
+    that reaches the terminal, ascending, and a finished row is kept once
+    with one more -1, so the rows stay in depth-first order. Refuses to
+    enumerate when ``count_paths(dag) > cap``.
     """
     total = count_paths(dag)
     if total > cap:
         raise ValueError(f"path count {total} exceeds cap {cap}")
     if total == 0:
-        return []
-    if dag.source == dag.terminal:
-        return [make_path(dag, (dag.source,))]
+        return np.empty((0, 1), dtype=np.int64)
     reach = dag._reach_terminal()
+    rows = np.array([[dag.source]], dtype=np.int64)
+    live = rows[:, -1] != dag.terminal
+    while live.any():
+        # a live row ends at a vertex that reaches the terminal and is not
+        # it, so its segment is non-empty, as reduceat needs
+        _, starts, nb = _csr_gather(dag._indptr, dag._indices, rows[live, -1])
+        keep = reach[nb]
+        rep = np.ones(rows.shape[0], dtype=np.int64)
+        rep[live] = np.add.reduceat(keep, starts, dtype=np.int64)
+        grown = np.repeat(live, rep)
+        rows = np.column_stack((np.repeat(rows, rep, axis=0),
+                                np.full(grown.size, -1, dtype=np.int64)))
+        rows[grown, -1] = nb[keep]
+        live = grown & (rows[:, -1] != dag.terminal)
+    return rows
 
-    def succ(v):
-        nb = dag.out_neighbors(v)
-        return iter(nb[reach[nb]].tolist())
 
-    out = []
-    path = [dag.source]
-    stack = [succ(dag.source)]
-    while stack:
-        u = next(stack[-1], None)
-        if u is None:
-            stack.pop()
-            path.pop()
-            continue
-        path.append(u)
-        if u == dag.terminal:
-            out.append(make_path(dag, path, check=False))
-            path.pop()
-        else:
-            stack.append(succ(u))
-    return out
+def enumerate_paths(dag: Dag, cap: int = 10000) -> list[Path]:
+    """All S-T paths in lexicographic vertex-sequence order: one ``Path`` per
+    row of the path array (see ``_path_array``).
+
+    Refuses to enumerate when ``count_paths(dag) > cap``.
+    """
+    rows = _path_array(dag, cap)
+    lengths = np.count_nonzero(rows >= 0, axis=1)
+    return [make_path(dag, r[:n], check=False)
+            for r, n in zip(rows.tolist(), lengths.tolist())]
 
 
 # -- constructions ------------------------------------------------------------

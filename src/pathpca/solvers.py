@@ -11,8 +11,11 @@ Two heuristics and one exact reference:
   poor fit for spiked covariances at scale, where the useful rank grows with
   the dimension. The candidates are projected in chunks, one block DP and
   walk per chunk; each chunk's arrays fit the budget ``_BLOCK_BYTES``.
-- ``brute_force_solve``: per-path leading eigenpairs over an enumeration of
-  all S-T paths; exact up to the eigensolver, for small path counts.
+- ``brute_force_solve``: per-path leading eigenvalues over an enumeration of
+  all S-T paths; exact up to the eigensolver, for small path counts. The
+  paths are rows of one int array; their principal submatrices, grouped by
+  support size, go through one stacked ``eigh`` per chunk, each chunk's
+  submatrices, eigenvectors and eigenvalues fitting ``_BLOCK_BYTES``.
 
 ``sparse_truncated_power`` is the unstructured k-sparse baseline: the same
 iteration with hard thresholding to the top-k magnitudes in place of the
@@ -34,12 +37,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
-from .graph import Dag, Path, enumerate_paths, make_path
+from .graph import UNBOUND, Dag, GraphStructureError, Path, _path_array, make_path
 from .projection import ProjectedVector, _block_width, _paths, _unit_on, project
 
 # Byte budget of the arrays sample_and_project projects each chunk of its
-# candidates in (see projection._block_width): it sets how many candidates
-# share one DP pass.
+# candidates in (see projection._block_width), and of each stacked eigh of
+# brute_force_solve (see _top_eigenvalues): it sets how many candidates share
+# one DP pass and how many submatrices one eigh call.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -267,41 +271,69 @@ def budget_for_epsilon(epsilon: float, rank: int, p: int) -> int:
     return int(math.ceil((2.0 / epsilon) ** rank * math.log(p)))
 
 
+def _top_eigenvalues(s: np.ndarray, sups: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each principal submatrix s[sup, sup], sup a row
+    of the (m, k) array ``sups``: one stacked ``eigh`` per chunk of rows,
+    each chunk's submatrices, eigenvectors and eigenvalues fitting
+    ``_BLOCK_BYTES`` (8 * (2k^2 + k) bytes a row; at least one row). The
+    stacked ``eigh`` is bit-identical to one call per submatrix, where
+    ``eigvalsh`` would not be."""
+    m, k = sups.shape
+    rows = max(1, _BLOCK_BYTES // (8 * (2 * k * k + k)))
+    top = np.empty(m)
+    for a in range(0, m, rows):
+        sup = sups[a:a + rows]
+        top[a:a + rows] = np.linalg.eigh(s[sup[:, :, None], sup[:, None, :]])[0][:, -1]
+    return top
+
+
 def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
                       cap: int = 10000) -> EstimateResult:
     """Exact maximizer by path enumeration: the leading eigenpair of the
     principal submatrix of each path's support, best path kept (ties go to
     the lexicographically first path). Refuses graphs with more than ``cap``
     paths. The trace holds each path's leading eigenvalue, in enumeration
-    order; the eigenvector sign makes its largest-magnitude entry positive.
+    order, skipping paths that bind no variable; the eigenvector sign makes
+    its largest-magnitude entry positive.
+
+    The paths come as rows of one array (``graph._path_array``), their
+    supports as sorted, deduplicated rows of variables. Paths are grouped by
+    support size and their submatrices decomposed in chunks by stacked
+    ``eigh`` calls (``_top_eigenvalues``, within ``_BLOCK_BYTES``); the
+    winner's submatrix alone is decomposed again for its eigenvector, and
+    only it becomes a ``Path``.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
-    paths = enumerate_paths(dag, cap)
-    best_path: Path | None = None
-    best_obj = -np.inf
-    best_vec: np.ndarray | None = None
-    trace: list[float] = []
-    examined = 0
-    for path in paths:
-        sup = path.sorted_support()
-        if sup.size == 0:
-            continue
-        examined += 1
-        evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
-        lam = float(evals[-1])
-        trace.append(lam)
-        if lam > best_obj:
-            q = evecs[:, -1]
-            if q[np.argmax(np.abs(q))] < 0:
-                q = -q
-            best_obj, best_path, best_vec = lam, path, q
-            best_sup = sup
-    if best_path is None:
+    rows = _path_array(dag, cap)
+    if rows.shape[0] == 0:
+        raise GraphStructureError("terminal unreachable from source")
+    # each row's support: bound variables ascending, repeats and UNBOUND
+    # (sorted first) pushed past the end by a second sort
+    var = np.sort(np.where(rows >= 0, dag.binding[rows], UNBOUND), axis=1)
+    keep = var >= 0
+    keep[:, 1:] &= var[:, 1:] != var[:, :-1]
+    var[~keep] = dag.dim
+    var.sort(axis=1)
+    sizes = np.count_nonzero(keep, axis=1)
+    examined = np.flatnonzero(sizes > 0)
+    if examined.size == 0:
         raise ValueError("no S-T path binds any variable")
+    top = np.empty(rows.shape[0])
+    for k in np.unique(sizes[examined]).tolist():
+        group = np.flatnonzero(sizes == k)
+        top[group] = _top_eigenvalues(s, var[group, :k])
+    top = top[examined]
+    win = int(examined[np.argmax(top)])  # the first maximum: ties go first
+    sup = var[win, :sizes[win]]
+    evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
+    q = evecs[:, -1]
+    if q[np.argmax(np.abs(q))] < 0:
+        q = -q
     x = np.zeros(dag.dim)
-    x[best_sup] = best_vec
-    return EstimateResult(x=x, path=best_path, objective=best_obj,
-                          iterations=examined, trace=trace)
+    x[sup] = q
+    path = make_path(dag, rows[win][rows[win] >= 0], check=False)
+    return EstimateResult(x=x, path=path, objective=float(evals[-1]),
+                          iterations=int(examined.size), trace=top.tolist())
 
 
 def _top_k_unit(w: np.ndarray, k: int) -> np.ndarray:

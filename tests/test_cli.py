@@ -163,6 +163,17 @@ class TestSolve:
         assert out == ""
         assert "positive semidefinite" in err
 
+    def test_brute_without_st_path_exits_3(self, tmp_path, capsys):
+        g = tmp_path / "split.txt"
+        g.write_text("p=4 source=0 terminal=3\nedge 0 1\nedge 2 3\n")
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.eye(4), f)
+        code, out, err = run(capsys, "solve", "--graph", str(g), "--data", str(f),
+                             "--solver", "brute")
+        assert code == 3
+        assert out == ""
+        assert "no path from source to terminal" in err
+
     def test_non_finite_exits_4(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"

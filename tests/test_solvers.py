@@ -8,11 +8,13 @@ import pytest
 
 from pathpca import (
     Dag,
+    GraphStructureError,
     NumericError,
     PowerMethodConfig,
     SampleProjectConfig,
     SpikedModelParams,
     brute_force_solve,
+    build_group_graph,
     build_layer_graph,
     empirical_covariance,
     enumerate_paths,
@@ -306,6 +308,143 @@ class TestBruteForce:
         dag = build_layer_graph(12, 2, 5)
         with pytest.raises(ValueError):
             brute_force_solve(np.eye(12), dag, cap=24)
+
+    def test_no_st_path_raises_like_the_other_solvers(self):
+        dag = Dag(4, [(0, 1), (2, 3)], 0, 3)
+        for solve in (brute_force_solve, graph_truncated_power,
+                      lambda s, d: sample_and_project(s, d, SampleProjectConfig())):
+            with pytest.raises(GraphStructureError,
+                               match="terminal unreachable from source"):
+                solve(np.eye(4), dag)
+
+    def test_paths_binding_nothing_keep_their_message(self):
+        dag = Dag(3, [(0, 1), (1, 2)], 0, 2, binding={}, dim=1)
+        with pytest.raises(ValueError, match="no S-T path binds any variable") as err:
+            brute_force_solve(np.eye(1), dag)
+        assert not isinstance(err.value, GraphStructureError)
+
+
+def _reference_brute(sigma, dag, cap=10000):
+    """brute_force_solve as a loop over enumerate_paths with one eigh per
+    path and a strict > (the first path wins ties): the definition the array
+    implementation must reproduce bit for bit."""
+    s = prepare_covariance(sigma, dag.dim).matrix
+    best, best_obj, trace = None, -np.inf, []
+    for path in enumerate_paths(dag, cap):
+        sup = path.sorted_support()
+        if sup.size == 0:
+            continue
+        evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
+        lam = float(evals[-1])
+        trace.append(lam)
+        if lam > best_obj:
+            q = evecs[:, -1]
+            if q[np.argmax(np.abs(q))] < 0:
+                q = -q
+            best, best_obj = (path, sup, q), lam
+    path, sup, q = best
+    x = np.zeros(dag.dim)
+    x[sup] = q
+    return x, path, best_obj, len(trace), trace
+
+
+def _assert_same_as_loop(res, ref):
+    x, path, objective, iterations, trace = ref
+    assert res.x.tobytes() == x.tobytes()
+    assert res.path == path
+    assert np.float64(res.objective).tobytes() == np.float64(objective).tobytes()
+    assert res.iterations == iterations
+    assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
+
+
+class TestBruteForceArray:
+    # hand-made graphs for the cases random_dag rarely or never draws
+    SPECIAL = (
+        # paths of 2, 3 and 4 vertices from an unbound source
+        Dag(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 5), (0, 5), (1, 4), (4, 5)],
+            0, 5, binding={1: 0, 2: 1, 3: 2, 4: 3, 5: 4}),
+        # unbound source and terminal
+        build_group_graph([[3, 0], [1, 4, 2], [5]]),
+        # a variable bound twice on every path, and twice more on one
+        Dag(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], 0, 4,
+            binding={0: 0, 1: 1, 2: 1, 3: 2, 4: 0}),
+        # the first path binds nothing
+        Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 1}, dim=2),
+        # source == terminal: the one-vertex path
+        Dag(3, [(0, 1), (1, 2)], 1, 1),
+    )
+
+    @staticmethod
+    def _covariances(dag, rng):
+        p = dag.dim
+        yield random_psd(p, rng)
+        yield np.zeros((p, p))  # every path ties at 0
+        yield np.eye(p)  # every path ties at 1
+        yield _rank_deficient(dag, rng)  # n < p
+
+    def _cases(self):
+        rng = np.random.default_rng(347)
+        for dag in self.SPECIAL:
+            for sigma in self._covariances(dag, rng):
+                yield sigma, dag
+        for _ in range(24):
+            dag = random_dag(rng, max_interior=16, max_paths=600)
+            for sigma in self._covariances(dag, rng):
+                yield sigma, dag
+
+    def test_equals_loop_of_eigh_bit_for_bit(self):
+        for sigma, dag in self._cases():
+            _assert_same_as_loop(brute_force_solve(sigma, dag),
+                                 _reference_brute(sigma, dag))
+
+    def test_ties_go_to_the_first_path(self):
+        dag = build_layer_graph(34, 4, 8)
+        first = enumerate_paths(dag)[0]
+        for sigma in (np.zeros((34, 34)), np.eye(34)):
+            res = brute_force_solve(sigma, dag)
+            assert res.path == first
+            _assert_same_as_loop(res, _reference_brute(sigma, dag))
+
+    def test_stacks_fit_the_budget(self, monkeypatch):
+        # every stacked eigh input, with its eigenvectors and eigenvalues,
+        # fits 8 * m * (2k^2 + k) <= _BLOCK_BYTES, on criterion 07's graph
+        stacks = []
+
+        def eigh(a, *args, **kwargs):
+            if a.ndim == 3:
+                m, k, _ = a.shape
+                assert 8 * m * (2 * k * k + k) <= solvers._BLOCK_BYTES
+                stacks.append(m)
+            return original(a, *args, **kwargs)
+
+        original = np.linalg.eigh
+        dag = build_layer_graph(66, 4, 16)
+        sigma = random_psd(66, np.random.default_rng(349))
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        res = brute_force_solve(sigma, dag, cap=70000)
+        assert sum(stacks) == res.iterations == 65536
+        assert len(stacks) > 1  # chunked
+        # every chunk but the last is as wide as the budget allows
+        assert len(set(stacks[:-1])) == 1 and stacks[-1] <= stacks[0]
+        assert 8 * (stacks[0] + 1) * (2 * 36 + 6) > solvers._BLOCK_BYTES
+
+    @pytest.mark.parametrize("matrices", [1, 2])
+    def test_independent_of_chunking(self, monkeypatch, matrices):
+        # chunks of one or two 6x6 submatrices give the default's bytes
+        dag = build_layer_graph(34, 4, 8)
+        sigma = _rank_deficient(dag, np.random.default_rng(353), n=5)
+        want = brute_force_solve(sigma, dag)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", matrices * 8 * (2 * 36 + 6))
+        got = brute_force_solve(sigma, dag)
+        _assert_same_as_loop(got, (want.x, want.path, want.objective,
+                                   want.iterations, want.trace))
+        _assert_same_as_loop(got, _reference_brute(sigma, dag))
+
+    def test_mixed_support_sizes_one_matrix_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
+        for sigma, dag in list(self._cases())[::5]:
+            _assert_same_as_loop(brute_force_solve(sigma, dag),
+                                 _reference_brute(sigma, dag))
 
 
 class TestSparseTruncatedPower:
