@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from .data import (NumericError, SpikedModelParams, empirical_covariance,
-                   random_path_vector, sample_spiked)
+from .data import (NumericError, SpikedModelParams, _prepare_covariance,
+                   empirical_covariance, random_path_vector, sample_spiked)
 from .fileio import (ParseError, load_covariance_json, load_data_csv,
                      load_graph, load_grouping, load_vector, write_data_csv,
                      write_graph, write_vector)
@@ -127,6 +128,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    t0 = time.perf_counter()
     dag = _load_valid_graph(args.graph)
     sigma = _load_sigma(args)
     if sigma.shape[0] != dag.dim:
@@ -135,24 +137,30 @@ def cmd_solve(args) -> int:
     x_star = load_vector(args.x_star) if args.x_star else None
     if x_star is not None and x_star.size != dag.dim:
         raise ValueError("x-star length does not match the graph dimension")
+    k = args.sparsity
+    if args.solver == "sparse-power" and k is None:
+        if x_star is None:
+            raise ValueError("sparse-power needs --sparsity (or --x-star "
+                             "to default to the planted support size)")
+        k = int(np.count_nonzero(x_star))
 
+    t1 = time.perf_counter()
+    # only the sampler reads eigenpairs; the others need the PSD verdict alone
+    cov = _prepare_covariance(sigma, dag.dim, decompose=args.solver == "sample")
+    del sigma
+    t2 = time.perf_counter()
     pcfg = PowerMethodConfig(max_iters=args.max_iters, tol=args.tol)
     if args.solver == "power":
-        res = graph_truncated_power(sigma, dag, pcfg)
+        res = graph_truncated_power(cov, dag, pcfg)
     elif args.solver == "sample":
         res = sample_and_project(
-            sigma, dag, SampleProjectConfig(rank=args.rank, budget=args.budget,
-                                            seed=args.seed))
+            cov, dag, SampleProjectConfig(rank=args.rank, budget=args.budget,
+                                          seed=args.seed))
     elif args.solver == "brute":
-        res = brute_force_solve(sigma, dag, cap=args.cap)
+        res = brute_force_solve(cov, dag, cap=args.cap)
     else:
-        k = args.sparsity
-        if k is None:
-            if x_star is None:
-                raise ValueError("sparse-power needs --sparsity (or --x-star "
-                                 "to default to the planted support size)")
-            k = int(np.count_nonzero(x_star))
-        res = sparse_truncated_power(sigma, k, pcfg)
+        res = sparse_truncated_power(cov, k, pcfg)
+    t3 = time.perf_counter()
 
     if args.solver != "sparse-power":
         check_structured_output(dag, res, args.solver)
@@ -163,13 +171,15 @@ def cmd_solve(args) -> int:
         "iterations": res.iterations,
         "support": sorted(np.flatnonzero(res.x != 0.0).tolist()),
         "path": list(res.path.vertices) if res.path is not None else None,
+        "timing": {"load_s": t1 - t0, "prepare_s": t2 - t1, "solve_s": t3 - t2},
+        "eigendecomposed": cov.decomposed,
     }
     if res.rank_objective is not None:
         record["rank_objective"] = res.rank_objective
     if res.stop_reason is not None:
         record["stop_reason"] = res.stop_reason
     if x_star is not None:
-        rep = evaluate(res.x, x_star, sigma)
+        rep = evaluate(res.x, x_star, cov.matrix)
         record["projector_loss"] = rep.projector_loss
         record["jaccard"] = rep.jaccard
         record["explained_variance"] = rep.explained_variance

@@ -8,7 +8,7 @@ evaluation or vectorization order. Seeds may be ints or tuples of ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,31 +89,101 @@ def empirical_covariance(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Covariance:
-    """A validated covariance: the symmetrized matrix and its eigenpairs
-    (ascending eigenvalues, as ``np.linalg.eigh`` returns them).
+    """A validated covariance: the symmetrized, read-only matrix, and its
+    eigenpairs (ascending eigenvalues, as ``np.linalg.eigh`` returns them).
 
-    Built by ``prepare_covariance``; the arrays are read-only so that one
-    prepared value can be shared by every solver and start of a sweep cell.
+    Built by ``prepare_covariance`` and shared by every solver and start of a
+    sweep cell. The eigenpairs are computed on first read of ``evals`` or
+    ``evecs`` and cached, unless the PSD check already computed them; reading
+    ``matrix`` or ``dim`` never decomposes. All arrays are read-only.
     """
 
     matrix: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
+    _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.evals.size
+        return self.matrix.shape[0]
+
+    @property
+    def decomposed(self) -> bool:
+        """Whether the eigenpairs have been computed."""
+        return self._pairs is not None
+
+    @property
+    def evals(self) -> np.ndarray:
+        return self._eigenpairs()[0]
+
+    @property
+    def evecs(self) -> np.ndarray:
+        return self._eigenpairs()[1]
+
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._pairs is None:
+            try:
+                pairs = np.linalg.eigh(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"eigendecomposition failed: {exc}") from exc
+            for a in pairs:
+                a.flags.writeable = False
+            object.__setattr__(self, "_pairs", tuple(pairs))
+        return self._pairs
+
+
+def _cholesky_succeeds(s: np.ndarray, shift: float) -> bool:
+    a = s.copy()
+    a.flat[::a.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _psd_by_cholesky(s: np.ndarray) -> bool | None:
+    """The PSD rule lambda_min >= -t, t = 1e-8 * max(1, lambda_max), decided
+    without a spectrum, or None when the gate cannot settle it.
+
+    lambda_max lies between the largest diagonal entry and the largest
+    absolute row sum, so t lies between tau_lo and tau_hi (the rule's
+    1e-8 * max(1, .) of each bound). A Cholesky of S + tau_lo/2 I that
+    succeeds puts lambda_min above -tau_lo/2 >= -t; one of S + 2 tau_hi I
+    that fails puts it below -2 tau_hi <= -2t. The margins, tau_lo/2 and
+    tau_hi, absorb the Cholesky's rounding, which is of order p * 1e-16
+    relative to the largest diagonal entry.
+    """
+    tau_lo = 1e-8 * max(1.0, float(np.diagonal(s).max()))
+    if _cholesky_succeeds(s, 0.5 * tau_lo):
+        return True
+    tau_hi = 1e-8 * max(1.0, float(np.abs(s).sum(axis=1).max()))
+    if not _cholesky_succeeds(s, 2.0 * tau_hi):
+        return False
+    return None
 
 
 def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
-    """Validate and decompose a covariance once; a Covariance passes through.
+    """Validate a covariance once; a Covariance passes through.
 
     Checks that sigma is square (and ``dim``-dimensional when given), finite,
     symmetric to 1e-8 relative to its largest entry, and positive
     semidefinite: the smallest eigenvalue may fall below zero by at most
     1e-8 * max(1, largest eigenvalue). Raises ValueError for a wrong shape
     and NumericError for the rest.
+
+    The PSD rule is decided by shifted Cholesky factorizations
+    (``_psd_by_cholesky``). Only a matrix they leave undecided, one whose
+    smallest eigenvalue lies close to the threshold, is decomposed by
+    ``eigh``, and its eigenpairs stay on the result. Otherwise no
+    eigendecomposition runs until something reads ``evals`` or ``evecs``.
     """
+    return _prepare_covariance(sigma, dim)
+
+
+def _prepare_covariance(sigma, dim: int | None = None,
+                        decompose: bool = False) -> Covariance:
+    """``prepare_covariance``; with ``decompose``, a raw matrix is decomposed
+    by ``eigh`` right away and the PSD rule read off its eigenvalues, with no
+    Cholesky, for callers that read the eigenpairs anyway."""
     if isinstance(sigma, Covariance):
         if dim is not None and sigma.dim != dim:
             raise ValueError(f"covariance is {sigma.dim}-dimensional, expected {dim}")
@@ -129,15 +199,15 @@ def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
     if float(np.abs(s - s.T).max()) > 1e-8 * scale:
         raise NumericError("covariance must be symmetric")
     s = (s + s.T) * 0.5
-    try:
-        evals, evecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    if evals[0] < -1e-8 * max(1.0, float(evals[-1])):
+    s.flags.writeable = False
+    cov = Covariance(s)
+    psd = None if decompose else _psd_by_cholesky(s)
+    if psd is None:
+        evals = cov.evals  # the pairs stay cached on cov
+        psd = evals[0] >= -1e-8 * max(1.0, float(evals[-1]))
+    if not psd:
         raise NumericError("covariance must be positive semidefinite")
-    for a in (s, evals, evecs):
-        a.flags.writeable = False
-    return Covariance(s, evals, evecs)
+    return cov
 
 
 def low_rank_factor(sigma: np.ndarray | Covariance, rank: int) -> np.ndarray:
@@ -150,7 +220,7 @@ def low_rank_factor(sigma: np.ndarray | Covariance, rank: int) -> np.ndarray:
     non-PSD input, and eigenvalues that are zero but come out slightly
     negative are clamped.
     """
-    cov = prepare_covariance(sigma)
+    cov = _prepare_covariance(sigma, decompose=True)
     p = cov.dim
     if not (1 <= rank <= p):
         raise ValueError(f"rank must be in 1..{p}")
@@ -207,7 +277,7 @@ def gaussian_sampler(sigma: np.ndarray | Covariance, n: int, seed=0) -> np.ndarr
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    cov = prepare_covariance(sigma)
+    cov = _prepare_covariance(sigma, decompose=True)
     evecs = cov.evecs
     root = (evecs * np.sqrt(np.clip(cov.evals, 0.0, None))) @ evecs.T
     p = cov.dim

@@ -143,7 +143,13 @@ def write_vector(x, path, comment: str | None = None):
 
 
 def load_data_csv(path, header: bool = False) -> np.ndarray:
-    """Sample matrix from CSV: rows are variables, columns observations."""
+    """Sample matrix from CSV: rows are variables, columns observations.
+
+    Each row is parsed by one ``np.array(cells, dtype=float)``, which reads
+    every cell as ``float()`` does (surrounding whitespace, ``1_0``, ``nan``,
+    ``1e400``). A ragged or non-numeric row raises ParseError with its line
+    number.
+    """
     rows = []
     width = None
     try:
@@ -165,7 +171,7 @@ def load_data_csv(path, header: bool = False) -> np.ndarray:
             raise ParseError(path, line_no,
                              f"expected {width} columns, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            rows.append(np.array(cells, dtype=float))
         except ValueError:
             raise ParseError(path, line_no, "non-numeric cell") from None
     if not rows:

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .data import (Covariance, SpikedModelParams, covariance_with_spectrum,
-                   empirical_covariance, gaussian_sampler, prepare_covariance,
-                   random_path_vector, sample_spiked)
+from .data import (Covariance, SpikedModelParams, _prepare_covariance,
+                   covariance_with_spectrum, empirical_covariance,
+                   gaussian_sampler, random_path_vector, sample_spiked)
 from .fileio import ParseError, _content_lines, load_graph
 from .graph import Dag, build_layer_graph, count_paths, is_st_path, validate
 from .metrics import evaluate
@@ -219,13 +219,19 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
     configuration for the sidecar. Solver errors are recorded per row (the
     exception class name becomes the status) and the sweep continues.
 
-    A cell's covariance is validated and decomposed once, in the row of its
-    first solver, whose wall time includes that; the other solvers, all
-    restarts and the metrics share it."""
+    A cell's covariance is validated once, in the row of its first solver,
+    whose wall time includes that; the other solvers, all restarts and the
+    metrics share it. With ``sample`` among the solvers the validation runs
+    the one ``eigh`` whose eigenpairs the sampler reads and decides PSD from
+    its eigenvalues; without it, a Cholesky gate decides PSD and no cell
+    decomposes its covariance. The sidecar's ``cell_prepare_s`` holds each
+    cell's validation time, trial-major like the rows."""
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg, dag)
     solvers = sorted(cfg.solvers)
+    decompose = "sample" in solvers
     records: list[ResultRecord] = []
+    cell_prepare_s: list[float] = []
     for trial in range(cfg.trials):
         for n_index, n in enumerate(cfg.n_grid):
             cseed = cell_seed(cfg.seed, trial, n_index)
@@ -240,10 +246,12 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
             cov = empirical_covariance(y)
             del y  # (p, n) samples; only their covariance is used from here on
             truth_nnz = int(np.count_nonzero(x_star))
+            prepare_s = 0.0
             for solver in solvers:
                 t1 = time.perf_counter()
                 try:
-                    cov = prepare_covariance(cov, graph.dim)
+                    cov = _prepare_covariance(cov, graph.dim, decompose=decompose)
+                    prepare_s += time.perf_counter() - t1
                     res = _run_one(solver, cov, graph, cfg, cseed, truth_nnz)
                 except InternalInvariantError:
                     raise
@@ -262,6 +270,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
                     objective=res.objective, projector_loss=rep.projector_loss,
                     jaccard=rep.jaccard, iterations=res.iterations,
                     wall_time=time.perf_counter() - t1))
+            cell_prepare_s.append(prepare_s)
     resolved = {
         "version": __version__,
         "graph": graph_info,
@@ -286,6 +295,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
                        "sparse-restarts=(cell,4,j)",
         "total_wall_time_s": time.perf_counter() - t0,
         "row_wall_time_s": [r.wall_time for r in records],
+        "cell_prepare_s": cell_prepare_s,
     }
     return records, resolved
 

@@ -118,3 +118,25 @@ def assert_feasible(dag: Dag, x: np.ndarray, path, norm_tol: float = 1e-12):
     sup = path.sorted_support()
     outside[sup] = False
     assert np.all(x[outside] == 0.0), "entries off the path must be exactly zero"
+
+
+def count_factorizations(monkeypatch, p: int) -> dict[str, int]:
+    """Count, from this call on, every ``np.linalg.eigh`` of a full-size
+    (p, p) matrix and every ``np.linalg.cholesky``; the counts live in the
+    returned dict. Stacked or smaller ``eigh`` calls (brute force's principal
+    submatrices) are not counted."""
+    counts = {"eigh": 0, "cholesky": 0}
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+    def counted_eigh(a, *args, **kwargs):
+        if np.shape(a) == (p, p):
+            counts["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counted_cholesky(a, *args, **kwargs):
+        counts["cholesky"] += 1
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    return counts

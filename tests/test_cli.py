@@ -134,6 +134,29 @@ class TestSolve:
         assert record["objective"] == pytest.approx(
             float(np.linalg.eigvalsh(sigma)[-1]), rel=1e-9)
 
+    @pytest.mark.parametrize("solver", ["power", "sample", "brute", "sparse-power"])
+    def test_record_times_the_stages(self, tmp_path, capsys, solver):
+        # one prepared covariance serves the solver and the metrics: the
+        # explained variance is read off the symmetrized matrix
+        g = chain_graph_file(tmp_path)
+        sigma = np.array([[2.0, 0.3 + 1e-12], [0.3, 1.0]])
+        f = tmp_path / "sigma.json"
+        write_covariance_json(sigma, f)
+        xs = tmp_path / "x_star.txt"
+        write_vector(np.array([0.6, 0.8]), xs)
+        est = tmp_path / "estimate.txt"
+        code, stdout, _ = run(capsys, "solve", "--graph", g, "--data", str(f),
+                              "--solver", solver, "--x-star", str(xs),
+                              "--out", str(est))
+        assert code == 0
+        record = json.loads(stdout)
+        assert sorted(record["timing"]) == ["load_s", "prepare_s", "solve_s"]
+        assert all(t >= 0 for t in record["timing"].values())
+        assert record["eigendecomposed"] is (solver == "sample")
+        x = load_vector(est)
+        sym = (sigma + sigma.T) * 0.5
+        assert record["explained_variance"] == float(x @ sym @ x)
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)  # dim 2
         f = tmp_path / "y.csv"

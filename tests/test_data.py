@@ -19,9 +19,10 @@ from pathpca import (
     sample_spiked,
 )
 
+from pathpca import data
 from pathpca.data import _uniform_below
 
-from helpers import random_dag, random_psd
+from helpers import count_factorizations, random_dag, random_psd
 
 
 def unit(v):
@@ -218,6 +219,125 @@ class TestPrepareCovariance:
         assert np.array_equal(low_rank_factor(cov, 2), low_rank_factor(s, 2))
         assert np.array_equal(gaussian_sampler(cov, 3, seed=1),
                               gaussian_sampler(s, 3, seed=1))
+
+
+def _eigh_rule(s):
+    """The PSD rule read off a full eigendecomposition of the symmetrized s."""
+    evals = np.linalg.eigh((s + s.T) * 0.5)[0]
+    return bool(evals[0] >= -1e-8 * max(1.0, float(evals[-1])))
+
+
+def _accepted(s):
+    try:
+        prepare_covariance(s)
+    except NumericError as exc:
+        assert "positive semidefinite" in str(exc)
+        return False
+    return True
+
+
+def _with_spectrum(lam, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    s = (q * lam) @ q.T
+    return (s + s.T) * 0.5
+
+
+SCALES = 10.0 ** np.arange(-6, 7)
+
+
+class TestPsdGate:
+    """The Cholesky gate decides the same PSD rule as eigh, without it on
+    clear cases."""
+
+    def test_psd_and_rank_deficient_matrices_are_accepted_by_the_gate(self):
+        rng = np.random.default_rng(2013)
+        for scale in SCALES:
+            for p in (1, 3, 8, 40):
+                n = max(1, p // 4)  # n < p: rank deficient for p > 1
+                cases = [random_psd(p, rng, scale), np.zeros((p, p)),
+                         empirical_covariance(rng.standard_normal((p, n))) * scale]
+                for s in cases:
+                    assert _eigh_rule(s)
+                    assert data._psd_by_cholesky(s) is True, (scale, p)
+                    assert _accepted(s)
+
+    def test_clearly_indefinite_matrices_are_rejected_by_the_gate(self):
+        rng = np.random.default_rng(2014)
+        for scale in SCALES:
+            t = 1e-8 * max(1.0, scale)
+            for p in (2, 5, 30):
+                for f in (3.0, 10.0, 1e4):
+                    lam = np.linspace(scale, 0.0, p)
+                    lam[-1] = -f * p * t  # below -2 * tau_hi
+                    s = _with_spectrum(lam, rng)
+                    assert not _eigh_rule(s)
+                    assert data._psd_by_cholesky(s) is False, (scale, p, f)
+                    assert not _accepted(s)
+
+    def test_verdict_equals_the_eigh_rule_near_the_threshold(self):
+        # lambda_min at (1 +- 1e-3) and a few other multiples of the
+        # threshold t = 1e-8 * max(1, lambda_max), diagonal and rotated
+        rng = np.random.default_rng(2015)
+        undecided = 0
+        for scale in SCALES:
+            t = 1e-8 * max(1.0, scale)
+            for f in (0.1, 0.4, 0.999, 1.001, 1.5, 2.5, 10.0):
+                for p in (2, 6):
+                    lam = np.linspace(scale, 0.0, p)
+                    lam[-1] = -f * t
+                    for s in (np.diag(lam), _with_spectrum(lam, rng)):
+                        want = f < 1.0
+                        assert _eigh_rule(s) == want
+                        gate = data._psd_by_cholesky(s)
+                        assert gate in (None, want), (scale, f, p)
+                        undecided += gate is None
+                        assert _accepted(s) == want, (scale, f, p)
+        assert undecided > 0  # the eigh fallback is exercised
+
+
+class TestLazyEigenpairs:
+    def test_computed_on_first_read_bit_identical_and_read_only(self):
+        cov = prepare_covariance(random_psd(6, np.random.default_rng(21)))
+        assert cov.dim == 6
+        assert not cov.decomposed
+        evals, evecs = np.linalg.eigh(cov.matrix)
+        assert cov.evals.tobytes() == evals.tobytes()
+        assert cov.evecs.tobytes() == evecs.tobytes()
+        assert cov.decomposed
+        assert cov.evals is cov.evals and cov.evecs is cov.evecs
+        for a in (cov.matrix, cov.evals, cov.evecs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_gate_counts(self, monkeypatch):
+        s = random_psd(7, np.random.default_rng(22))
+        counts = count_factorizations(monkeypatch, 7)
+        cov = prepare_covariance(s)
+        assert counts == {"eigh": 0, "cholesky": 1}
+        cov.evecs
+        cov.evals
+        assert counts == {"eigh": 1, "cholesky": 1}
+
+    def test_undecided_matrix_keeps_the_pairs_of_its_eigh(self, monkeypatch):
+        counts = count_factorizations(monkeypatch, 2)
+        cov = prepare_covariance(np.diag([1.0, -0.9e-8]))
+        assert counts == {"eigh": 1, "cholesky": 2}
+        assert cov.decomposed
+        assert cov.evals.tobytes() == np.linalg.eigh(cov.matrix)[0].tobytes()
+
+    def test_spectrum_readers_decompose_once_without_the_gate(self, monkeypatch):
+        s = random_psd(5, np.random.default_rng(23))
+        counts = count_factorizations(monkeypatch, 5)
+        for read in (lambda: low_rank_factor(s, 2),
+                     lambda: gaussian_sampler(s, 3, seed=1),
+                     lambda: data._prepare_covariance(s, decompose=True).evecs):
+            before = dict(counts)
+            read()
+            assert counts["eigh"] == before["eigh"] + 1
+            assert counts["cholesky"] == 0
+        with pytest.raises(NumericError, match="positive semidefinite"):
+            data._prepare_covariance(np.diag([1.0, -0.5]), decompose=True)
 
 
 class TestCovarianceWithSpectrum:

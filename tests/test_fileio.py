@@ -163,6 +163,32 @@ class TestDataCsv:
         with pytest.raises(ParseError):
             load_data_csv(f)
 
+    @pytest.mark.parametrize("text,line_no", [
+        ("1.0,2.0\n\n3.0,4.0\n5.0\n", 4),  # ragged after a blank line
+        ("1.0,2.0\n3.0,2.0,1.0\n", 2),  # too many columns
+        ("1.0,2.0\n3.0,x\n", 2),
+        ("1.0,2.0\n\n3.0,\n", 3),  # empty cell
+        ("1.0,2.0\n4.0,0x10\n", 2),
+    ])
+    def test_bad_row_line_numbers(self, tmp_path, text, line_no):
+        f = tmp_path / "y.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_data_csv(f)
+        assert exc.value.line_no == line_no
+        f.write_text("obs0,obs1\n" + text)
+        with pytest.raises(ParseError) as exc:
+            load_data_csv(f, header=True)
+        assert exc.value.line_no == line_no + 1
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = [" 1.5", "1_0 ", "nan", "-inf", "1e400", "1e-400", "+2", "\t3"]
+        f = tmp_path / "y.csv"
+        f.write_text(",".join(cells) + "\n" + ",".join(cells[::-1]) + "\n")
+        want = np.array([[float(c) for c in cells], [float(c) for c in cells[::-1]]])
+        got = load_data_csv(f)
+        assert got.tobytes() == want.tobytes()
+
     def test_empty_rejected(self, tmp_path):
         f = tmp_path / "y.csv"
         f.write_text("")

@@ -31,7 +31,8 @@ from pathpca import solvers
 from pathpca.data import seed_key
 from pathpca.solvers import budget_for_epsilon
 
-from helpers import assert_feasible, oracle_best_rayleigh, random_dag, random_psd
+from helpers import (assert_feasible, count_factorizations, oracle_best_rayleigh,
+                     random_dag, random_psd)
 
 
 def diamond():
@@ -730,6 +731,32 @@ class TestPreparedCovariance:
     def test_brute_force_rejects_non_psd(self):
         with pytest.raises(NumericError):
             brute_force_solve(np.diag([1.0, -5.0, -3.0, 1.0]), diamond(), cap=10)
+
+
+class TestDecompositionCounts:
+    """Only sample-and-project reads eigenpairs, so only it decomposes the
+    full covariance."""
+
+    def test_power_sparse_and_brute_run_no_full_eigh(self, monkeypatch):
+        dag = build_layer_graph(12, 2, 5)
+        sigma = random_psd(12, np.random.default_rng(102))
+        runs = [
+            lambda: graph_truncated_power(sigma, dag),
+            lambda: sparse_truncated_power(sigma, 3),
+            lambda: brute_force_solve(sigma, dag, cap=25),
+        ]
+        counts = count_factorizations(monkeypatch, 12)
+        for run in runs:
+            run()
+        assert counts["eigh"] == 0
+        assert counts["cholesky"] == len(runs)  # the gate's first Cholesky
+
+    def test_sample_and_project_decomposes_once(self, monkeypatch):
+        dag = build_layer_graph(12, 2, 5)
+        sigma = random_psd(12, np.random.default_rng(103))
+        counts = count_factorizations(monkeypatch, 12)
+        sample_and_project(sigma, dag, SampleProjectConfig(budget=20))
+        assert counts == {"eigh": 1, "cholesky": 0}
 
 
 def _reference_sample(sigma, dag, cfg):

@@ -32,6 +32,8 @@ from pathpca.sweep import (
     write_sidecar,
 )
 
+from helpers import count_factorizations
+
 
 def small_cfg(**over):
     base = dict(n_grid=[40, 80], trials=2, solvers=["brute", "power", "sample",
@@ -222,6 +224,24 @@ class TestRunSweep:
             assert sigma is cov.matrix
 
 
+class TestCellDecompositions:
+    """A cell decomposes its covariance only when the sampler reads the
+    eigenpairs, and then without a Cholesky as well."""
+
+    @pytest.mark.parametrize("solvers,eigh,cholesky", [
+        (["brute", "power", "sample", "sparse-power"], 1, 0),
+        (["sample"], 1, 0),
+        (["brute", "power", "sparse-power"], 0, 1),
+    ])
+    def test_factorizations_per_cell(self, monkeypatch, solvers, eigh, cholesky):
+        cfg = small_cfg(n_grid=[40], trials=2, solvers=solvers)
+        counts = count_factorizations(monkeypatch, 14)
+        records, resolved = run_sweep(cfg)
+        assert all(r.status == "ok" for r in records)
+        assert counts == {"eigh": 2 * eigh, "cholesky": 2 * cholesky}
+        assert len(resolved["cell_prepare_s"]) == 2
+
+
 class TestStructuredOutputCheck:
     def test_support_outside_path_raises(self):
         dag = build_layer_graph(12, 2, 5)
@@ -303,6 +323,10 @@ class TestCsvAndSidecar:
         assert len(rows) == len(records) == 4
         assert all(t >= 0 for t in rows)
         assert sum(rows) <= doc["total_wall_time_s"]
+        # one preparation per cell, inside its first solver row
+        prep = doc["cell_prepare_s"]
+        assert len(prep) == 1
+        assert 0 <= prep[0] <= rows[0]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
