@@ -112,6 +112,33 @@ class TestSolve:
         else:
             assert "stop_reason" not in record
 
+    # the records of the four solvers on this dataset, pinned so that a change
+    # to the dispatch behind `pathpca solve` cannot move them unnoticed
+    PINNED = {
+        "power": (3.446757408806359, [0, 2, 7, 12, 13], 10, "stable", None),
+        "sample": (3.4466594011705105, [0, 2, 7, 12, 13], 2000, None,
+                   3.4077640190573364),
+        "brute": (3.4467574088083683, [0, 2, 7, 12, 13], 16, None, None),
+        "sparse-power": (3.446757408806359, None, 10, "stable", None),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(PINNED))
+    def test_record_is_pinned(self, dataset, capsys, solver):
+        code, stdout, _ = run(capsys, "solve", "--graph", str(dataset / "graph.txt"),
+                              "--data", str(dataset / "samples.csv"),
+                              "--solver", solver,
+                              "--x-star", str(dataset / "x_star.txt"),
+                              "--cap", "100")
+        assert code == 0
+        record = json.loads(stdout)
+        objective, path, iterations, stop_reason, rank_objective = self.PINNED[solver]
+        assert record["objective"] == objective
+        assert record["path"] == path
+        assert record["support"] == [0, 2, 7, 12, 13]
+        assert record["iterations"] == iterations
+        assert record.get("stop_reason") == stop_reason
+        assert record.get("rank_objective") == rank_objective
+
     def test_estimate_file_round_trips(self, dataset, tmp_path, capsys):
         est = tmp_path / "estimate.txt"
         code, stdout, _ = run(capsys, "solve", "--graph", str(dataset / "graph.txt"),

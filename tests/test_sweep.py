@@ -1,6 +1,6 @@
 """The experiment harness: seeded sweeps over (trial, n, solver) cells."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +397,13 @@ class TestConfigFiles:
         assert cfg.sparsity == "auto"
         assert cfg.restarts == 5
         assert cfg.seed == 0
+
+    def test_parse_sweep_config_takes_the_dataclass_defaults(self):
+        parsed = parse_sweep_config({"p": "14", "k": "3", "d": "2",
+                                     "n": "40", "trials": "1"})
+        built = SweepConfig(n_grid=[40], trials=1, p=14, k=3, d=2)
+        for f in fields(SweepConfig):
+            assert getattr(parsed, f.name) == getattr(built, f.name), f.name
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
