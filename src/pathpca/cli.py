@@ -24,12 +24,11 @@ from .graph import (GraphStructureError, build_group_graph, build_layer_graph,
                     count_paths, validate)
 from .metrics import evaluate
 from .projection import project
-from .solvers import (PowerMethodConfig, SampleProjectConfig,
-                      brute_force_solve, graph_truncated_power,
-                      sample_and_project, sparse_truncated_power)
-from .sweep import (InternalInvariantError, _layer_shape, _load_valid_graph,
-                    check_structured_output, parse_kv_file, parse_sweep_config,
-                    run_sweep, write_sidecar, write_sweep_csv)
+from .solvers import PowerMethodConfig, SampleProjectConfig
+from .sweep import (EIGENPAIR_SOLVER, SOLVER_NAMES, InternalInvariantError,
+                    _layer_shape, _load_valid_graph, _run_one, parse_kv_file,
+                    parse_sweep_config, run_sweep, write_sidecar,
+                    write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
@@ -55,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample CSV, or covariance JSON if the name ends in .json")
     s.add_argument("--header", action="store_true",
                    help="the sample CSV has a header row")
-    s.add_argument("--solver", default="power",
-                   choices=["power", "sample", "brute", "sparse-power"])
+    s.add_argument("--solver", default="power", choices=SOLVER_NAMES)
     s.add_argument("--rank", type=int, default=2)
     s.add_argument("--budget", type=int, default=2000)
     s.add_argument("--seed", type=int, default=0)
@@ -128,12 +126,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # built first so that bad settings fail before any file is read
+    power = PowerMethodConfig(max_iters=args.max_iters, tol=args.tol)
+    sample = SampleProjectConfig(rank=args.rank, budget=args.budget,
+                                 seed=args.seed)
     t0 = time.perf_counter()
     dag = _load_valid_graph(args.graph)
-    sigma = _load_sigma(args)
-    if sigma.shape[0] != dag.dim:
-        raise ValueError(f"data is {sigma.shape[0]}-dimensional but the graph "
-                         f"binds {dag.dim} variables")
+    sigma = _load_sigma(args)  # its dimension is checked by the preparation
     x_star = load_vector(args.x_star) if args.x_star else None
     if x_star is not None and x_star.size != dag.dim:
         raise ValueError("x-star length does not match the graph dimension")
@@ -145,25 +144,13 @@ def cmd_solve(args) -> int:
         k = int(np.count_nonzero(x_star))
 
     t1 = time.perf_counter()
-    # only the sampler reads eigenpairs; the others need the PSD verdict alone
-    cov = _prepare_covariance(sigma, dag.dim, decompose=args.solver == "sample")
+    cov = _prepare_covariance(sigma, dag.dim,
+                              decompose=args.solver == EIGENPAIR_SOLVER)
     del sigma
     t2 = time.perf_counter()
-    pcfg = PowerMethodConfig(max_iters=args.max_iters, tol=args.tol)
-    if args.solver == "power":
-        res = graph_truncated_power(cov, dag, pcfg)
-    elif args.solver == "sample":
-        res = sample_and_project(
-            cov, dag, SampleProjectConfig(rank=args.rank, budget=args.budget,
-                                          seed=args.seed))
-    elif args.solver == "brute":
-        res = brute_force_solve(cov, dag, cap=args.cap)
-    else:
-        res = sparse_truncated_power(cov, k, pcfg)
+    res = _run_one(args.solver, cov, dag, power, sample, args.cap, k, 0,
+                   (args.seed,))
     t3 = time.perf_counter()
-
-    if args.solver != "sparse-power":
-        check_structured_output(dag, res, args.solver)
 
     record = {
         "solver": args.solver,

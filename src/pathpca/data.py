@@ -164,11 +164,12 @@ def _psd_by_cholesky(s: np.ndarray) -> bool | None:
 def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
     """Validate a covariance once; a Covariance passes through.
 
-    Checks that sigma is square (and ``dim``-dimensional when given), finite,
-    symmetric to 1e-8 relative to its largest entry, and positive
-    semidefinite: the smallest eigenvalue may fall below zero by at most
-    1e-8 * max(1, largest eigenvalue). Raises ValueError for a wrong shape
-    and NumericError for the rest.
+    Checks that sigma is square (and ``dim``-dimensional when given), finite
+    with no entry above float max / 2p in magnitude (so symmetrizing and
+    every Rayleigh quotient stay finite), symmetric to 1e-8 relative to its
+    largest entry, and positive semidefinite: the smallest eigenvalue may
+    fall below zero by at most 1e-8 * max(1, largest eigenvalue). Raises
+    ValueError for a wrong shape and NumericError for the rest.
 
     The PSD rule is decided by shifted Cholesky factorizations
     (``_psd_by_cholesky``). Only a matrix they leave undecided, one whose
@@ -196,6 +197,8 @@ def _prepare_covariance(sigma, dim: int | None = None,
     if not np.all(np.isfinite(s)):
         raise NumericError("covariance contains non-finite values")
     scale = max(1.0, float(np.abs(s).max()))
+    if scale > np.finfo(float).max / (2 * s.shape[0]):  # s + s.T could overflow
+        raise NumericError("covariance entries are too large for float arithmetic")
     if float(np.abs(s - s.T).max()) > 1e-8 * scale:
         raise NumericError("covariance must be symmetric")
     s = (s + s.T) * 0.5

@@ -198,10 +198,16 @@ def load_covariance_json(path) -> np.ndarray:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or "sigma" not in doc:
         raise ParseError(path, None, "expected an object with a 'sigma' field")
-    sigma = np.asarray(doc["sigma"], dtype=float)
+    try:
+        sigma = np.asarray(doc["sigma"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, None, "'sigma' must be a matrix of numbers") from exc
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ParseError(path, None, "'sigma' must be a square matrix")
-    if "p" in doc and int(doc["p"]) != sigma.shape[0]:
+    p = doc.get("p", sigma.shape[0])
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ParseError(path, None, "'p' must be an integer")
+    if p != sigma.shape[0]:
         raise ParseError(path, None, "'p' does not match the matrix size")
     return sigma
 

@@ -13,8 +13,9 @@ The path search is a single longest-path pass over the DAG, linear in
 values. Both run on a (V, B) block of weight columns at once: ``_paths``
 projects a block, and ``solvers.sample_and_project`` projects its candidates
 through it in chunks; each chunk's arrays fit the budget (``_block_width``).
-``project`` and ``longest_weighted_path`` are the B=1 case, on 1-D arrays. There is one DP and one walk, so single and batched
-projections agree bit for bit, tie-break included.
+``project`` and ``longest_weighted_path`` are the B=1 case, on 1-D arrays.
+There is one DP and one walk, so single and batched projections agree bit
+for bit, tie-break included.
 """
 
 from __future__ import annotations

@@ -42,8 +42,9 @@ import numpy as np
 
 from .data import (Covariance, _prepare_covariance, low_rank_factor,
                    prepare_covariance, seed_key)
-from .graph import UNBOUND, Dag, GraphStructureError, Path, _path_array, make_path
-from .projection import ProjectedVector, _block_width, _paths, _unit_on, project
+from .graph import Dag, GraphStructureError, Path, _path_array, make_path
+from .projection import (ProjectedVector, _block_width, _paths,
+                         _sorted_supports, _unit_on, project)
 
 # Byte budget of the arrays sample_and_project projects each chunk of its
 # candidates in (see projection._block_width), and of each stacked eigh of
@@ -302,24 +303,19 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
     its largest-magnitude entry positive.
 
     The paths come as rows of one array (``graph._path_array``), their
-    supports as sorted, deduplicated rows of variables. Paths are grouped by
-    support size and their submatrices decomposed in chunks by stacked
-    ``eigh`` calls (``_top_eigenvalues``, within ``_BLOCK_BYTES``); the
-    winner's submatrix alone is decomposed again for its eigenvector, and
-    only it becomes a ``Path``.
+    supports as sorted, deduplicated rows of variables
+    (``projection._sorted_supports``). Paths are grouped by support size and
+    their submatrices decomposed in chunks by stacked ``eigh`` calls
+    (``_top_eigenvalues``, within ``_BLOCK_BYTES``); the winner's submatrix
+    alone is decomposed again for its eigenvector, and only it becomes a
+    ``Path``.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
     rows = _path_array(dag, cap)
     if rows.shape[0] == 0:
         raise GraphStructureError("terminal unreachable from source")
-    # each row's support: bound variables ascending, repeats and UNBOUND
-    # (sorted first) pushed past the end by a second sort
-    var = np.sort(np.where(rows >= 0, dag.binding[rows], UNBOUND), axis=1)
-    keep = var >= 0
-    keep[:, 1:] &= var[:, 1:] != var[:, :-1]
-    var[~keep] = dag.dim
-    var.sort(axis=1)
-    sizes = np.count_nonzero(keep, axis=1)
+    var, sizes = _sorted_supports(dag, rows.T)
+    var = var.T  # path i's support is var[i, :sizes[i]]
     examined = np.flatnonzero(sizes > 0)
     if examined.size == 0:
         raise ValueError("no S-T path binds any variable")

@@ -17,6 +17,10 @@ plus ``restarts`` seeded random starts and keeps the best objective. A single
 diagonal start stalls far from the planted path on wide graphs (millions of
 paths) even when the restricted problem is easy; a handful of restarts fixes
 that at known cost. The reported iteration count sums all starts.
+
+``_run_one`` is the one solver dispatch; ``pathpca solve`` calls it with no
+restarts. Every default lives on ``SweepConfig``, and a setting the solvers
+would reject fails when the config is built, before any cell runs.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
                       sample_and_project, sparse_truncated_power)
 
 SOLVER_NAMES = ("brute", "power", "sample", "sparse-power")
+# the one solver that reads eigenpairs, so a covariance prepared for it is
+# decomposed at once; the others need only the PSD verdict
+EIGENPAIR_SOLVER = "sample"
 CSV_COLUMNS = ("trial", "n", "solver", "seed", "status", "objective",
                "projector_loss", "jaccard", "iterations")
 
@@ -99,6 +106,11 @@ class SweepConfig:
             raise ValueError('sparsity must be "auto" or a positive integer')
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
+        if self.cap < 1:
+            raise ValueError("cap must be at least 1")
+        # the solver configs' checks, run once here rather than in every row
+        PowerMethodConfig(self.max_iters, self.tol)
+        SampleProjectConfig(self.rank, self.budget)
 
 
 @dataclass
@@ -178,39 +190,42 @@ def check_structured_output(dag: Dag, result: EstimateResult, solver: str):
         raise InternalInvariantError(f"{solver}: estimate support leaves its path")
 
 
-def _best_of_starts(run, cfg: SweepConfig, stream: tuple) -> EstimateResult:
-    """Diagonal start plus cfg.restarts random starts, best objective kept
-    (the diagonal start wins ties). Iterations are summed over all starts;
-    the stop reason and degenerate count are the winner's."""
-    best = run(PowerMethodConfig(max_iters=cfg.max_iters, tol=cfg.tol))
+def _best_of_starts(run, power: PowerMethodConfig, restarts: int,
+                    stream: tuple) -> EstimateResult:
+    """The ``power`` start plus ``restarts`` random starts seeded (*stream, j),
+    best objective kept (the first start wins ties). Iterations are summed
+    over all starts; the stop reason and degenerate count are the winner's."""
+    best = run(power)
     total = best.iterations
-    for j in range(cfg.restarts):
-        res = run(PowerMethodConfig(max_iters=cfg.max_iters, tol=cfg.tol,
-                                    init="random", seed=stream + (j,)))
+    for j in range(restarts):
+        res = run(replace(power, init="random", seed=stream + (j,)))
         total += res.iterations
         if res.objective > best.objective:
             best = res
     return replace(best, iterations=total)
 
 
-def _run_one(solver: str, cov: Covariance, dag: Dag, cfg: SweepConfig,
-             cseed: int, truth_nnz: int) -> EstimateResult:
+def _run_one(solver: str, cov: Covariance, dag: Dag, power: PowerMethodConfig,
+             sample: SampleProjectConfig, cap: int, k: int | None,
+             restarts: int, seed: tuple) -> EstimateResult:
+    """One solver on a prepared covariance, a structured solver's path checked.
+    The power methods take the best of ``_best_of_starts``, the random starts
+    seeded (*seed, 3, j) for ``power`` and (*seed, 4, j) for ``sparse-power``
+    (support size ``k``)."""
+    if solver == "sparse-power":  # unstructured: no path to check
+        return _best_of_starts(lambda pc: sparse_truncated_power(cov, k, pc),
+                               power, restarts, seed + (4,))
     if solver == "power":
-        return _best_of_starts(
-            lambda pc: graph_truncated_power(cov, dag, pc),
-            cfg, (cseed, 3))
-    if solver == "sample":
-        return sample_and_project(
-            cov, dag,
-            SampleProjectConfig(rank=cfg.rank, budget=cfg.budget, seed=(cseed, 2)))
-    if solver == "brute":
-        return brute_force_solve(cov, dag, cap=cfg.cap)
-    if solver == "sparse-power":
-        k = truth_nnz if cfg.sparsity == "auto" else int(cfg.sparsity)
-        return _best_of_starts(
-            lambda pc: sparse_truncated_power(cov, k, pc),
-            cfg, (cseed, 4))
-    raise ValueError(f"unknown solver {solver!r}")
+        res = _best_of_starts(lambda pc: graph_truncated_power(cov, dag, pc),
+                              power, restarts, seed + (3,))
+    elif solver == "sample":
+        res = sample_and_project(cov, dag, sample)
+    elif solver == "brute":
+        res = brute_force_solve(cov, dag, cap=cap)
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    check_structured_output(dag, res, solver)
+    return res
 
 
 def run_sweep(cfg: SweepConfig, dag: Dag | None = None
@@ -229,7 +244,8 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg, dag)
     solvers = sorted(cfg.solvers)
-    decompose = "sample" in solvers
+    decompose = EIGENPAIR_SOLVER in solvers
+    power = PowerMethodConfig(cfg.max_iters, cfg.tol)
     records: list[ResultRecord] = []
     cell_prepare_s: list[float] = []
     for trial in range(cfg.trials):
@@ -245,14 +261,17 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
             # prepared by the first solver, shared by the rest
             cov = empirical_covariance(y)
             del y  # (p, n) samples; only their covariance is used from here on
-            truth_nnz = int(np.count_nonzero(x_star))
+            sample = SampleProjectConfig(cfg.rank, cfg.budget, seed=(cseed, 2))
+            k = (int(np.count_nonzero(x_star)) if cfg.sparsity == "auto"
+                 else int(cfg.sparsity))
             prepare_s = 0.0
             for solver in solvers:
                 t1 = time.perf_counter()
                 try:
                     cov = _prepare_covariance(cov, graph.dim, decompose=decompose)
                     prepare_s += time.perf_counter() - t1
-                    res = _run_one(solver, cov, graph, cfg, cseed, truth_nnz)
+                    res = _run_one(solver, cov, graph, power, sample, cfg.cap,
+                                   k, cfg.restarts, (cseed,))
                 except InternalInvariantError:
                     raise
                 except Exception as exc:
@@ -262,8 +281,6 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
                         projector_loss=None, jaccard=None, iterations=None,
                         wall_time=time.perf_counter() - t1))
                     continue
-                if solver != "sparse-power":
-                    check_structured_output(graph, res, solver)
                 rep = evaluate(res.x, x_star, cov.matrix)
                 records.append(ResultRecord(
                     trial=trial, n=n, solver=solver, seed=cseed, status="ok",
@@ -342,49 +359,35 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-_SWEEP_KEYS = {"p", "k", "d", "graph", "model", "beta", "spectrum_exponent",
-               "n", "trials", "solvers", "rank", "budget", "sparsity",
-               "restarts", "seed", "cap", "tol", "max_iters"}
+def _int_or(word: str):
+    return lambda text: text if text == word else int(text)
+
+
+# config-file key -> (SweepConfig field, parser of its value)
+_SWEEP_KEYS = {
+    "p": ("p", int), "k": ("k", _int_or("auto")), "d": ("d", _int_or("full")),
+    "graph": ("graph_file", str), "model": ("model", str),
+    "beta": ("beta", float), "spectrum_exponent": ("spectrum_exponent", float),
+    "n": ("n_grid", lambda text: [int(v) for v in text.split(",")]),
+    "trials": ("trials", int),
+    "solvers": ("solvers", lambda text: [s.strip() for s in text.split(",")]),
+    "rank": ("rank", int), "budget": ("budget", int),
+    "sparsity": ("sparsity", _int_or("auto")), "restarts": ("restarts", int),
+    "seed": ("seed", int), "cap": ("cap", int), "tol": ("tol", float),
+    "max_iters": ("max_iters", int),
+}
 
 
 def parse_sweep_config(mapping: dict[str, str]) -> SweepConfig:
-    """Build a SweepConfig from the string mapping of a config file."""
-    unknown = set(mapping) - _SWEEP_KEYS
+    """Build a SweepConfig from the string mapping of a config file; a key
+    the file leaves out takes the SweepConfig default."""
+    unknown = set(mapping) - set(_SWEEP_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "n" not in mapping or "trials" not in mapping:
         raise ValueError("config must set 'n' and 'trials'")
-
-    def geti(key, default=None):
-        return int(mapping[key]) if key in mapping else default
-
-    def getf(key, default=None):
-        return float(mapping[key]) if key in mapping else default
-
-    k = mapping.get("k")
-    if k is not None and k != "auto":
-        k = int(k)
-    d = mapping.get("d")
-    if d is not None and d != "full":
-        d = int(d)
-    sparsity = mapping.get("sparsity", "auto")
-    if sparsity != "auto":
-        sparsity = int(sparsity)
-    return SweepConfig(
-        n_grid=[int(v) for v in mapping["n"].split(",")],
-        trials=int(mapping["trials"]),
-        solvers=[s.strip() for s in mapping.get("solvers", "power").split(",")],
-        p=geti("p"), k=k, d=d,
-        graph_file=mapping.get("graph"),
-        model=mapping.get("model", "spiked"),
-        beta=getf("beta", 1.0),
-        spectrum_exponent=getf("spectrum_exponent", -0.25),
-        rank=geti("rank", 2),
-        budget=geti("budget", 2000),
-        sparsity=sparsity,
-        restarts=geti("restarts", 5),
-        seed=geti("seed", 0),
-        cap=geti("cap", 5000),
-        tol=getf("tol", 1e-9),
-        max_iters=geti("max_iters", 1000),
-    )
+    values = {}
+    for key, text in mapping.items():
+        name, parse = _SWEEP_KEYS[key]
+        values[name] = parse(text)
+    return SweepConfig(**values)

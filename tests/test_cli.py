@@ -231,6 +231,39 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--graph", g, "--data", str(f))
         assert code == 4
 
+    @pytest.mark.parametrize("solver", ["power", "sample", "brute", "sparse-power"])
+    def test_overflowing_covariance_exits_4(self, tmp_path, capsys, solver):
+        # symmetrizing this matrix as (s + s.T) / 2 would overflow to inf
+        g = chain_graph_file(tmp_path)
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.array([[1e308, 0.0], [0.0, 1.0]]), f)
+        code, out, err = run(capsys, "solve", "--graph", g, "--data", str(f),
+                             "--solver", solver, "--sparsity", "1")
+        assert code == 4
+        assert out == ""
+        assert "too large" in err
+
+    def test_malformed_covariance_json_names_the_file(self, tmp_path, capsys):
+        g = chain_graph_file(tmp_path)
+        f = tmp_path / "sigma.json"
+        f.write_text('{"p": "two", "sigma": [[1.0, 0.0], [0.0, 1.0]]}')
+        code, out, err = run(capsys, "solve", "--graph", g, "--data", str(f))
+        assert code == 3
+        assert out == ""
+        assert "sigma.json" in err and "'p' must be an integer" in err
+
+    @pytest.mark.parametrize("setting", [("--budget", "0"), ("--rank", "0"),
+                                         ("--max-iters", "0"), ("--tol", "-1")])
+    def test_invalid_setting_exits_3_for_any_solver(self, tmp_path, capsys, setting):
+        # both solver configs are built, and checked, before anything runs
+        g = chain_graph_file(tmp_path)
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.eye(2), f)
+        code, out, _ = run(capsys, "solve", "--graph", g, "--data", str(f),
+                           "--solver", "power", *setting)
+        assert code == 3
+        assert out == ""
+
     def test_sparse_power_needs_a_size(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"
@@ -331,6 +364,18 @@ class TestSweep:
         assert code == 0
         sidecar = json.loads((out.parent / "c.csv.json").read_text())
         assert sidecar["graph"]["graph"] == "provided"
+
+    @pytest.mark.parametrize("setting", [{"budget": 0}, {"rank": 0},
+                                         {"max_iters": 0}, {"tol": -1},
+                                         {"cap": 0}])
+    def test_invalid_solver_setting_exits_3_without_csv(self, tmp_path, capsys,
+                                                        setting):
+        cfg = write_sweep_config(tmp_path, **setting)
+        out = tmp_path / "r.csv"
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert next(iter(setting)) in err
+        assert not out.exists()
 
     def test_bad_config_exits_3(self, tmp_path, capsys):
         f = tmp_path / "cfg.txt"

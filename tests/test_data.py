@@ -221,6 +221,19 @@ class TestPrepareCovariance:
                               gaussian_sampler(s, 3, seed=1))
 
 
+def test_entries_that_could_overflow_are_rejected():
+    # symmetrizing [[1e308, 0], [0, 1]] as (s + s.T) / 2 would hold inf
+    with pytest.raises(NumericError, match="too large"):
+        prepare_covariance(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    # at the largest accepted scale, float max / 2p, the matrix and its top
+    # Rayleigh quotient stay finite
+    top = np.finfo(float).max / 4
+    cov = prepare_covariance(np.full((2, 2), top))
+    assert np.all(np.isfinite(cov.matrix))
+    x = np.full(2, np.sqrt(0.5))
+    assert np.isfinite(x @ cov.matrix @ x)
+
+
 def _eigh_rule(s):
     """The PSD rule read off a full eigendecomposition of the symmetrized s."""
     evals = np.linalg.eigh((s + s.T) * 0.5)[0]

@@ -217,6 +217,17 @@ class TestCovarianceJson:
         with pytest.raises(ParseError):
             load_covariance_json(f)
 
+    @pytest.mark.parametrize("doc", [
+        '{"p": "two", "sigma": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"p": 2.7, "sigma": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"sigma": [[1.0, "x"], [0.0, 1.0]]}',
+    ])
+    def test_malformed_fields_name_the_file(self, tmp_path, doc):
+        f = tmp_path / "s.json"
+        f.write_text(doc)
+        with pytest.raises(ParseError, match=r"s\.json"):
+            load_covariance_json(f)
+
     def test_rejects_invalid_json(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text('{"sigma": [[1.0,')

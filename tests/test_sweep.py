@@ -19,7 +19,7 @@ from pathpca import (
     write_sweep_csv,
 )
 from pathpca import sweep
-from pathpca.solvers import EstimateResult
+from pathpca.solvers import EstimateResult, PowerMethodConfig
 from pathpca.sweep import (
     CSV_COLUMNS,
     _best_of_starts,
@@ -63,6 +63,10 @@ class TestConfig:
             SweepConfig(n_grid=[10], trials=1, p=None, k=None, d=None)
         with pytest.raises(ValueError):
             small_cfg(model="spectrum", spectrum_exponent=0.5)
+        for bad in ({"budget": 0}, {"rank": 0}, {"max_iters": 0}, {"tol": -1},
+                    {"cap": 0}):
+            with pytest.raises(ValueError):
+                small_cfg(**bad)
 
     def test_nearest_divisor_layers(self):
         assert nearest_divisor_layers(66) == 4    # ln 66 = 4.19, 4 divides 64
@@ -157,7 +161,7 @@ class TestRunSweep:
                   for obj, it, why, deg in [(1.0, 3, "stable", 0),
                                             (2.0, 5, "max_iters", 4),
                                             (2.0, 7, "step", 1)]]
-        best = _best_of_starts(lambda pc: starts.pop(0), small_cfg(restarts=2), (1,))
+        best = _best_of_starts(lambda pc: starts.pop(0), PowerMethodConfig(), 2, (1,))
         assert (best.objective, best.iterations) == (2.0, 15)
         assert (best.stop_reason, best.degenerate) == ("max_iters", 4)
 
