@@ -254,7 +254,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("setting", [("--budget", "0"), ("--rank", "0"),
                                          ("--max-iters", "0"), ("--tol", "-1")])
-    def test_invalid_setting_exits_3_for_any_solver(self, tmp_path, capsys, setting):
+    def test_invalid_setting_exits_3_before_solving(self, tmp_path, capsys, setting):
         # both solver configs are built, and checked, before anything runs
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"
