@@ -15,8 +15,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .data import (NumericError, SpikedModelParams, _prepare_covariance,
-                   empirical_covariance, random_path_vector, sample_spiked)
+from .data import (NumericError, SpikedModelParams, empirical_covariance,
+                   prepare_covariance, random_path_vector, sample_spiked)
 from .fileio import (ParseError, load_covariance_json, load_data_csv,
                      load_graph, load_grouping, load_vector, write_data_csv,
                      write_graph, write_vector)
@@ -24,11 +24,10 @@ from .graph import (GraphStructureError, build_group_graph, build_layer_graph,
                     count_paths, validate)
 from .metrics import evaluate
 from .projection import project
-from .solvers import PowerMethodConfig, SampleProjectConfig
-from .sweep import (EIGENPAIR_SOLVER, SOLVER_NAMES, InternalInvariantError,
+from .sweep import (SOLVER_NAMES, InternalInvariantError, SweepConfig,
                     _layer_shape, _load_valid_graph, _run_one, parse_kv_file,
-                    parse_sweep_config, run_sweep, write_sidecar,
-                    write_sweep_csv)
+                    parse_sweep_config, run_sweep, solver_configs,
+                    write_sidecar, write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
@@ -55,15 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--header", action="store_true",
                    help="the sample CSV has a header row")
     s.add_argument("--solver", default="power", choices=SOLVER_NAMES)
-    s.add_argument("--rank", type=int, default=2)
-    s.add_argument("--budget", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--rank", type=int, default=SweepConfig.rank)
+    s.add_argument("--budget", type=int, default=SweepConfig.budget)
+    s.add_argument("--seed", type=int, default=SweepConfig.seed)
     s.add_argument("--sparsity", type=int,
                    help="support size for sparse-power (defaults to the "
                         "planted support size when --x-star is given)")
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--max-iters", type=int, default=1000)
-    s.add_argument("--cap", type=int, default=5000)
+    s.add_argument("--tol", type=float, default=SweepConfig.tol)
+    s.add_argument("--max-iters", type=int, default=SweepConfig.max_iters)
+    s.add_argument("--cap", type=int, default=SweepConfig.cap)
     s.add_argument("--x-star", help="planted vector file; adds metrics to the record")
     s.add_argument("--out", help="write the estimate as a vector file")
 
@@ -127,9 +126,9 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     # built first so that bad settings fail before any file is read
-    power = PowerMethodConfig(max_iters=args.max_iters, tol=args.tol)
-    sample = SampleProjectConfig(rank=args.rank, budget=args.budget,
-                                 seed=args.seed)
+    power, sample = solver_configs(
+        "auto" if args.sparsity is None else args.sparsity, args.cap,
+        args.max_iters, args.tol, args.rank, args.budget, args.seed)
     t0 = time.perf_counter()
     dag = _load_valid_graph(args.graph)
     sigma = _load_sigma(args)  # its dimension is checked by the preparation
@@ -144,8 +143,7 @@ def cmd_solve(args) -> int:
         k = int(np.count_nonzero(x_star))
 
     t1 = time.perf_counter()
-    cov = _prepare_covariance(sigma, dag.dim,
-                              decompose=args.solver == EIGENPAIR_SOLVER)
+    cov = prepare_covariance(sigma, dag.dim)
     del sigma
     t2 = time.perf_counter()
     res = _run_one(args.solver, cov, dag, power, sample, args.cap, k, 0,
@@ -180,7 +178,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_sweep_config(parse_kv_file(args.config))
+    mapping = parse_kv_file(args.config)
+    try:
+        cfg = parse_sweep_config(mapping)
+    except ValueError as exc:
+        raise ParseError(args.config, None, str(exc)) from exc
     if args.seed is not None:
         cfg.seed = args.seed
     dag = _load_valid_graph(args.graph) if args.graph else None

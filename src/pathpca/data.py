@@ -177,14 +177,6 @@ def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
     ``eigh``, and its eigenpairs stay on the result. Otherwise no
     eigendecomposition runs until something reads ``evals`` or ``evecs``.
     """
-    return _prepare_covariance(sigma, dim)
-
-
-def _prepare_covariance(sigma, dim: int | None = None,
-                        decompose: bool = False) -> Covariance:
-    """``prepare_covariance``; with ``decompose``, a raw matrix is decomposed
-    by ``eigh`` right away and the PSD rule read off its eigenvalues, with no
-    Cholesky, for callers that read the eigenpairs anyway."""
     if isinstance(sigma, Covariance):
         if dim is not None and sigma.dim != dim:
             raise ValueError(f"covariance is {sigma.dim}-dimensional, expected {dim}")
@@ -194,9 +186,10 @@ def _prepare_covariance(sigma, dim: int | None = None,
         raise ValueError("covariance must be a square matrix")
     if dim is not None and s.shape[0] != dim:
         raise ValueError(f"covariance is {s.shape[0]}-dimensional, expected {dim}")
-    if not np.all(np.isfinite(s)):
+    top = float(np.abs(s).max())
+    if not np.isfinite(top):  # NaN and inf propagate through max
         raise NumericError("covariance contains non-finite values")
-    scale = max(1.0, float(np.abs(s).max()))
+    scale = max(1.0, top)
     if scale > np.finfo(float).max / (2 * s.shape[0]):  # s + s.T could overflow
         raise NumericError("covariance entries are too large for float arithmetic")
     if float(np.abs(s - s.T).max()) > 1e-8 * scale:
@@ -204,7 +197,7 @@ def _prepare_covariance(sigma, dim: int | None = None,
     s = (s + s.T) * 0.5
     s.flags.writeable = False
     cov = Covariance(s)
-    psd = None if decompose else _psd_by_cholesky(s)
+    psd = _psd_by_cholesky(s)
     if psd is None:
         evals = cov.evals  # the pairs stay cached on cov
         psd = evals[0] >= -1e-8 * max(1.0, float(evals[-1]))
@@ -223,7 +216,7 @@ def low_rank_factor(sigma: np.ndarray | Covariance, rank: int) -> np.ndarray:
     non-PSD input, and eigenvalues that are zero but come out slightly
     negative are clamped.
     """
-    cov = _prepare_covariance(sigma, decompose=True)
+    cov = prepare_covariance(sigma)
     p = cov.dim
     if not (1 <= rank <= p):
         raise ValueError(f"rank must be in 1..{p}")
@@ -280,7 +273,7 @@ def gaussian_sampler(sigma: np.ndarray | Covariance, n: int, seed=0) -> np.ndarr
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    cov = _prepare_covariance(sigma, decompose=True)
+    cov = prepare_covariance(sigma)
     evecs = cov.evecs
     root = (evecs * np.sqrt(np.clip(cov.evals, 0.0, None))) @ evecs.T
     p = cov.dim

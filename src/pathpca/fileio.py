@@ -198,10 +198,12 @@ def load_covariance_json(path) -> np.ndarray:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or "sigma" not in doc:
         raise ParseError(path, None, "expected an object with a 'sigma' field")
-    try:
-        sigma = np.asarray(doc["sigma"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, None, "'sigma' must be a matrix of numbers") from exc
+    try:  # ragged rows raise; a null cell makes the dtype object, a string str
+        sigma = np.array(doc["sigma"])
+    except ValueError:
+        sigma = np.array(None)
+    if sigma.dtype.kind not in "biuf":
+        raise ParseError(path, None, "'sigma' must be a matrix of numbers")
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ParseError(path, None, "'sigma' must be a square matrix")
     p = doc.get("p", sigma.shape[0])
@@ -209,7 +211,7 @@ def load_covariance_json(path) -> np.ndarray:
         raise ParseError(path, None, "'p' must be an integer")
     if p != sigma.shape[0]:
         raise ParseError(path, None, "'p' does not match the matrix size")
-    return sigma
+    return sigma.astype(float, copy=False)
 
 
 def write_covariance_json(sigma, path):

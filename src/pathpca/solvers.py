@@ -25,12 +25,11 @@ multiplies only the covariance rows of that support, O(p * |support|) rather
 than O(p^2), and the same product gives the step's Rayleigh quotient.
 
 Every solver, brute force included, validates sigma through
-``prepare_covariance`` and so rejects non-PSD input. Only
-``sample_and_project`` reads eigenpairs: on a raw matrix it decomposes once
-and reads the PSD verdict off the eigenvalues, while the other solvers decide
-PSD by a Cholesky gate and run no full-size eigendecomposition. Passing the
-prepared ``Covariance`` lets several solvers and starts share one validation
-and at most one eigendecomposition.
+``prepare_covariance``, whose Cholesky gate rejects non-PSD input without a
+spectrum. Only ``sample_and_project`` reads eigenpairs: its one full-size
+``eigh`` runs on its first read of ``Covariance.evals``, inside the call; the
+other solvers run none. Passing the prepared ``Covariance`` lets several
+solvers and starts share one validation and at most one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (Covariance, _prepare_covariance, low_rank_factor,
-                   prepare_covariance, seed_key)
+from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, GraphStructureError, Path, _path_array, make_path
 from .projection import (ProjectedVector, _block_width, _paths,
                          _sorted_supports, _unit_on, project)
@@ -242,7 +240,7 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
     chunk's arrays fit the budget ``_BLOCK_BYTES`` unless a single column
     alone exceeds it. A Path is built for the winner only.
     """
-    cov = _prepare_covariance(sigma, dag.dim, decompose=True)
+    cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
     key = seed_key(config.seed)
     cols = _block_width(dag, _BLOCK_BYTES)

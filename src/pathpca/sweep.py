@@ -19,8 +19,8 @@ paths) even when the restricted problem is easy; a handful of restarts fixes
 that at known cost. The reported iteration count sums all starts.
 
 ``_run_one`` is the one solver dispatch; ``pathpca solve`` calls it with no
-restarts. Every default lives on ``SweepConfig``, and a setting the solvers
-would reject fails when the config is built, before any cell runs.
+restarts. Every default lives on ``SweepConfig``; ``solver_configs`` checks
+the settings when a config is built and before ``pathpca solve`` reads files.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .data import (Covariance, SpikedModelParams, _prepare_covariance,
-                   covariance_with_spectrum, empirical_covariance,
-                   gaussian_sampler, random_path_vector, sample_spiked)
+from .data import (Covariance, SpikedModelParams, covariance_with_spectrum,
+                   empirical_covariance, gaussian_sampler, prepare_covariance,
+                   random_path_vector, sample_spiked)
 from .fileio import ParseError, _content_lines, load_graph
 from .graph import Dag, build_layer_graph, count_paths, is_st_path, validate
 from .metrics import evaluate
@@ -44,9 +44,6 @@ from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
                       sample_and_project, sparse_truncated_power)
 
 SOLVER_NAMES = ("brute", "power", "sample", "sparse-power")
-# the one solver that reads eigenpairs, so a covariance prepared for it is
-# decomposed at once; the others need only the PSD verdict
-EIGENPAIR_SOLVER = "sample"
 CSV_COLUMNS = ("trial", "n", "solver", "seed", "status", "objective",
                "projector_loss", "jaccard", "iterations")
 
@@ -54,6 +51,16 @@ CSV_COLUMNS = ("trial", "n", "solver", "seed", "status", "objective",
 class InternalInvariantError(RuntimeError):
     """A solver output violated a guaranteed invariant; results are not
     trustworthy and nothing is written."""
+
+
+def solver_configs(sparsity, cap: int, max_iters: int, tol: float, rank: int,
+                   budget: int, seed=0):
+    """The power and sampler configs for ``_run_one``; ValueError for a bad setting."""
+    if sparsity != "auto" and int(sparsity) < 1:
+        raise ValueError('sparsity must be "auto" or a positive integer')
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return PowerMethodConfig(max_iters, tol), SampleProjectConfig(rank, budget, seed)
 
 
 @dataclass
@@ -102,15 +109,10 @@ class SweepConfig:
         if self.graph_file is None:
             if self.p is None or self.k is None or self.d is None:
                 raise ValueError("need either graph_file or all of p, k, d")
-        if self.sparsity != "auto" and int(self.sparsity) < 1:
-            raise ValueError('sparsity must be "auto" or a positive integer')
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if self.cap < 1:
-            raise ValueError("cap must be at least 1")
-        # the solver configs' checks, run once here rather than in every row
-        PowerMethodConfig(self.max_iters, self.tol)
-        SampleProjectConfig(self.rank, self.budget)
+        solver_configs(self.sparsity, self.cap, self.max_iters, self.tol,
+                       self.rank, self.budget)
 
 
 @dataclass
@@ -236,15 +238,14 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
 
     A cell's covariance is validated once, in the row of its first solver,
     whose wall time includes that; the other solvers, all restarts and the
-    metrics share it. With ``sample`` among the solvers the validation runs
-    the one ``eigh`` whose eigenpairs the sampler reads and decides PSD from
-    its eigenvalues; without it, a Cholesky gate decides PSD and no cell
-    decomposes its covariance. The sidecar's ``cell_prepare_s`` holds each
-    cell's validation time, trial-major like the rows."""
+    metrics share it. The validation decides PSD by a Cholesky gate; the
+    sampler's ``eigh`` runs on its first read of the eigenpairs, inside the
+    ``sample`` row, and a cell without the sampler decomposes nothing. The
+    sidecar's ``cell_prepare_s`` holds each cell's validation time,
+    trial-major like the rows."""
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg, dag)
     solvers = sorted(cfg.solvers)
-    decompose = EIGENPAIR_SOLVER in solvers
     power = PowerMethodConfig(cfg.max_iters, cfg.tol)
     records: list[ResultRecord] = []
     cell_prepare_s: list[float] = []
@@ -268,7 +269,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
             for solver in solvers:
                 t1 = time.perf_counter()
                 try:
-                    cov = _prepare_covariance(cov, graph.dim, decompose=decompose)
+                    cov = prepare_covariance(cov, graph.dim)
                     prepare_s += time.perf_counter() - t1
                     res = _run_one(solver, cov, graph, power, sample, cfg.cap,
                                    k, cfg.restarts, (cseed,))
@@ -389,5 +390,8 @@ def parse_sweep_config(mapping: dict[str, str]) -> SweepConfig:
     values = {}
     for key, text in mapping.items():
         name, parse = _SWEEP_KEYS[key]
-        values[name] = parse(text)
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {text}: {exc}") from exc
     return SweepConfig(**values)

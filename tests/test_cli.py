@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, file round trips, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pathpca import load_graph, load_vector, validate, write_covariance_json, write_graph, write_vector
-from pathpca.cli import main
+from pathpca.cli import _build_parser, main
+from pathpca.sweep import SweepConfig
 
 
 def run(capsys, *argv):
@@ -264,6 +266,37 @@ class TestSolve:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("sigma", ['[[1.0, null], [null, 1.0]]',
+                                       '[["1.5", 0.0], [0.0, 1.0]]'])
+    def test_non_numeric_covariance_cell_exits_3(self, tmp_path, capsys, sigma):
+        g = chain_graph_file(tmp_path)
+        f = tmp_path / "sigma.json"
+        f.write_text('{"sigma": %s}' % sigma)
+        code, out, err = run(capsys, "solve", "--graph", g, "--data", str(f))
+        assert code == 3
+        assert out == ""
+        assert "sigma.json" in err and "matrix of numbers" in err
+
+    @pytest.mark.parametrize("solver", ["power", "brute"])
+    @pytest.mark.parametrize("setting,message", [
+        (("--cap", "0"), "cap must be at least 1"),
+        (("--sparsity", "0"), "sparsity must be"),
+    ])
+    def test_cap_and_sparsity_checked_before_reading_files(
+            self, tmp_path, capsys, solver, setting, message):
+        missing = str(tmp_path / "missing.json")  # never opened
+        code, out, err = run(capsys, "solve", "--graph", missing,
+                             "--data", missing, "--solver", solver, *setting)
+        assert code == 3
+        assert out == ""
+        assert message in err and "missing.json" not in err
+
+    def test_defaults_are_the_sweep_defaults(self):
+        args = _build_parser().parse_args(["solve", "--graph", "g", "--data", "d"])
+        defaults = {f.name: f.default for f in fields(SweepConfig)}
+        for name in ("rank", "budget", "seed", "tol", "max_iters", "cap"):
+            assert getattr(args, name) == defaults[name], name
+
     def test_sparse_power_needs_a_size(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"
@@ -375,6 +408,17 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
         assert code == 3
         assert next(iter(setting)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("budget", "abc"), ("tol", "small"),
+                                           ("n", "40,x"), ("k", "three")])
+    def test_unparsable_value_names_key_and_file(self, tmp_path, capsys, key,
+                                                 value):
+        cfg = write_sweep_config(tmp_path, **{key: value})
+        out = tmp_path / "r.csv"
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert "sweep.txt" in err and f"{key} = {value}" in err
         assert not out.exists()
 
     def test_bad_config_exits_3(self, tmp_path, capsys):

@@ -221,6 +221,17 @@ class TestPrepareCovariance:
                               gaussian_sampler(s, 3, seed=1))
 
 
+def test_non_finite_entries_are_found_by_the_scale_pass():
+    # NaN propagates through the max that sets the scale, so a NaN next to
+    # an entry too large for float arithmetic still reads as non-finite
+    big = np.finfo(float).max / 2
+    for bad in (np.nan, np.inf, -np.inf):
+        for s in (np.array([[big, bad], [bad, 1.0]]),
+                  np.array([[bad, big], [big, 1.0]])):
+            with pytest.raises(NumericError, match="non-finite"):
+                prepare_covariance(s)
+
+
 def test_entries_that_could_overflow_are_rejected():
     # symmetrizing [[1e308, 0], [0, 1]] as (s + s.T) / 2 would hold inf
     with pytest.raises(NumericError, match="too large"):
@@ -339,18 +350,26 @@ class TestLazyEigenpairs:
         assert cov.decomposed
         assert cov.evals.tobytes() == np.linalg.eigh(cov.matrix)[0].tobytes()
 
-    def test_spectrum_readers_decompose_once_without_the_gate(self, monkeypatch):
+    def test_spectrum_readers_gate_once_and_decompose_once(self, monkeypatch):
+        # a raw matrix is validated by the gate, then decomposed on the
+        # reader's first read of the eigenpairs
         s = random_psd(5, np.random.default_rng(23))
         counts = count_factorizations(monkeypatch, 5)
         for read in (lambda: low_rank_factor(s, 2),
                      lambda: gaussian_sampler(s, 3, seed=1),
-                     lambda: data._prepare_covariance(s, decompose=True).evecs):
+                     lambda: prepare_covariance(s).evecs):
             before = dict(counts)
             read()
-            assert counts["eigh"] == before["eigh"] + 1
-            assert counts["cholesky"] == 0
-        with pytest.raises(NumericError, match="positive semidefinite"):
-            data._prepare_covariance(np.diag([1.0, -0.5]), decompose=True)
+            assert counts == {"eigh": before["eigh"] + 1,
+                              "cholesky": before["cholesky"] + 1}
+        cov = prepare_covariance(s)
+        low_rank_factor(cov, 2)
+        gaussian_sampler(cov, 3, seed=1)
+        assert counts == {"eigh": 4, "cholesky": 4}  # one eigh per covariance
+        for read in (lambda m: low_rank_factor(m, 1),
+                     lambda m: gaussian_sampler(m, 1)):
+            with pytest.raises(NumericError, match="positive semidefinite"):
+                read(np.diag([1.0, -0.5]))
 
 
 class TestCovarianceWithSpectrum:

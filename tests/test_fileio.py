@@ -228,6 +228,25 @@ class TestCovarianceJson:
         with pytest.raises(ParseError, match=r"s\.json"):
             load_covariance_json(f)
 
+    @pytest.mark.parametrize("sigma", [
+        '[[1.0, null], [null, 1.0]]',  # null is not a number
+        '[["1.5", 0.0], [0.0, 1.0]]',  # nor is a numeric string
+        '[[1.0, 0.0], [0.0, 1.0, 2.0]]',
+        '[[1.0, {}], [0.0, 1.0]]',
+    ])
+    def test_cells_must_be_numbers(self, tmp_path, sigma):
+        f = tmp_path / "s.json"
+        f.write_text('{"sigma": %s}' % sigma)
+        with pytest.raises(ParseError, match=r"s\.json.*matrix of numbers"):
+            load_covariance_json(f)
+
+    def test_integer_cells_read_as_floats(self, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text('{"sigma": [[2, 0], [0, 1]]}')
+        s = load_covariance_json(f)
+        assert s.dtype == float
+        assert np.array_equal(s, np.diag([2.0, 1.0]))
+
     def test_rejects_invalid_json(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text('{"sigma": [[1.0,')

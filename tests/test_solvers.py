@@ -734,8 +734,8 @@ class TestPreparedCovariance:
 
 
 class TestDecompositionCounts:
-    """Only sample-and-project reads eigenpairs, so only it decomposes the
-    full covariance."""
+    """Every solver gates the covariance once; only sample-and-project reads
+    eigenpairs, so only it decomposes the full covariance."""
 
     def test_power_sparse_and_brute_run_no_full_eigh(self, monkeypatch):
         dag = build_layer_graph(12, 2, 5)
@@ -756,7 +756,7 @@ class TestDecompositionCounts:
         sigma = random_psd(12, np.random.default_rng(103))
         counts = count_factorizations(monkeypatch, 12)
         sample_and_project(sigma, dag, SampleProjectConfig(budget=20))
-        assert counts == {"eigh": 1, "cholesky": 0}
+        assert counts == {"eigh": 1, "cholesky": 1}
 
 
 def _reference_sample(sigma, dag, cfg):

@@ -229,12 +229,12 @@ class TestRunSweep:
 
 
 class TestCellDecompositions:
-    """A cell decomposes its covariance only when the sampler reads the
-    eigenpairs, and then without a Cholesky as well."""
+    """A cell gates its covariance once and decomposes it only when the
+    sampler reads the eigenpairs, inside the sampler's row."""
 
     @pytest.mark.parametrize("solvers,eigh,cholesky", [
-        (["brute", "power", "sample", "sparse-power"], 1, 0),
-        (["sample"], 1, 0),
+        (["brute", "power", "sample", "sparse-power"], 1, 1),
+        (["sample"], 1, 1),
         (["brute", "power", "sparse-power"], 0, 1),
     ])
     def test_factorizations_per_cell(self, monkeypatch, solvers, eigh, cholesky):
@@ -244,6 +244,24 @@ class TestCellDecompositions:
         assert all(r.status == "ok" for r in records)
         assert counts == {"eigh": 2 * eigh, "cholesky": 2 * cholesky}
         assert len(resolved["cell_prepare_s"]) == 2
+
+    def test_the_eigh_runs_in_the_sample_row(self, monkeypatch):
+        cfg = small_cfg(n_grid=[40], trials=2, solvers=["power", "sample"])
+        counts = count_factorizations(monkeypatch, 14)
+        rows = []
+        original = sweep._run_one
+
+        def run_one(solver, cov, *args):
+            decomposed, before = cov.decomposed, counts["eigh"]
+            res = original(solver, cov, *args)
+            rows.append((solver, decomposed, counts["eigh"] - before))
+            return res
+
+        monkeypatch.setattr(sweep, "_run_one", run_one)
+        records, _ = run_sweep(cfg)
+        assert all(r.status == "ok" for r in records)
+        # power runs first in each cell and finds the covariance undecomposed
+        assert rows == [("power", False, 0), ("sample", False, 1)] * 2
 
 
 class TestStructuredOutputCheck:
