@@ -4,18 +4,15 @@ __version__ = "0.1.0"
 
 from .graph import (UNBOUND, Dag, GraphStructureError, Path, ValidationReport,
                     build_group_graph, build_layer_graph, count_paths,
-                    enumerate_paths, is_st_path, make_path, topological_order,
-                    validate)
-from .projection import (ProjectedVector, WeightedPathResult,
-                         longest_weighted_path, project)
+                    enumerate_paths, is_st_path, make_path, validate)
+from .projection import ProjectedVector, project
 from .data import (Covariance, NumericError, SpikedModelParams,
                    covariance_with_spectrum, empirical_covariance,
                    gaussian_sampler, low_rank_factor, prepare_covariance,
                    random_path_vector, sample_spiked, seed_key)
 from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
-                      brute_force_solve, budget_for_epsilon,
-                      graph_truncated_power, sample_and_project,
-                      sparse_truncated_power)
+                      brute_force_solve, graph_truncated_power,
+                      sample_and_project, sparse_truncated_power)
 from .metrics import (EvalReport, evaluate, explained_variance,
                       projector_distance, support_jaccard)
 from .fileio import (ParseError, load_covariance_json, load_data_csv,
@@ -30,15 +27,14 @@ from .sweep import (InternalInvariantError, ResultRecord, SweepConfig,
 __all__ = [
     "UNBOUND", "Dag", "GraphStructureError", "Path", "ValidationReport",
     "build_group_graph", "build_layer_graph", "count_paths", "enumerate_paths",
-    "is_st_path", "make_path", "topological_order", "validate",
-    "ProjectedVector", "WeightedPathResult", "longest_weighted_path", "project",
+    "is_st_path", "make_path", "validate", "ProjectedVector", "project",
     "Covariance", "NumericError", "SpikedModelParams",
     "covariance_with_spectrum", "empirical_covariance", "gaussian_sampler",
     "low_rank_factor", "prepare_covariance", "random_path_vector",
     "sample_spiked", "seed_key",
     "EstimateResult", "PowerMethodConfig", "SampleProjectConfig",
-    "brute_force_solve", "budget_for_epsilon", "graph_truncated_power",
-    "sample_and_project", "sparse_truncated_power",
+    "brute_force_solve", "graph_truncated_power", "sample_and_project",
+    "sparse_truncated_power",
     "EvalReport", "evaluate", "explained_variance", "projector_distance",
     "support_jaccard",
     "ParseError", "load_covariance_json", "load_data_csv", "load_graph",

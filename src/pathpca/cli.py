@@ -25,11 +25,16 @@ from .graph import (GraphStructureError, build_group_graph, build_layer_graph,
 from .metrics import evaluate
 from .projection import project
 from .sweep import (SOLVER_NAMES, InternalInvariantError, SweepConfig,
-                    _layer_shape, _load_valid_graph, _run_one, parse_kv_file,
-                    parse_sweep_config, run_sweep, solver_configs,
-                    write_sidecar, write_sweep_csv)
+                    _int_or, _layer_shape, _load_valid_graph, _parse_keys,
+                    _run_one, parse_kv_file, parse_sweep_config, run_sweep,
+                    solver_configs, write_sidecar, write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
+
+# generate config key -> (name, parser of its value); every key is required
+_GENERATE_KEYS = {"p": ("p", int), "k": ("k", _int_or("auto")),
+                  "d": ("d", _int_or("full")), "beta": ("beta", float),
+                  "n": ("n", int)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="run a recovery sweep from a config file")
     w.add_argument("--config", required=True)
-    w.add_argument("--graph", help="graph file overriding the config's p/k/d")
+    w.add_argument("--graph", help="graph file; sets the config's graph key, "
+                                   "so the config needs no p/k/d")
     w.add_argument("--seed", type=int, help="override the config's master seed")
     w.add_argument("--out", required=True, help="CSV output path")
 
@@ -95,18 +101,13 @@ def _load_sigma(args) -> np.ndarray:
 
 
 def cmd_generate(args) -> int:
-    cfg = parse_kv_file(args.config)
-    allowed = {"p", "k", "d", "beta", "n"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = allowed - set(cfg)
-    if missing:
-        raise ValueError(f"config must set: {sorted(missing)}")
-    p = int(cfg["p"])
+    mapping = parse_kv_file(args.config)
+    try:
+        cfg = _parse_keys(mapping, _GENERATE_KEYS, _GENERATE_KEYS)
+    except ValueError as exc:
+        raise ParseError(args.config, None, str(exc)) from exc
+    p, beta, n = cfg["p"], cfg["beta"], cfg["n"]
     k, d = _layer_shape(p, cfg["k"], cfg["d"])
-    beta = float(cfg["beta"])
-    n = int(cfg["n"])
 
     dag = build_layer_graph(p, k, d)
     x_star, path = random_path_vector(dag, (args.seed, 0))
@@ -179,14 +180,14 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     mapping = parse_kv_file(args.config)
+    for key, value in (("graph", args.graph), ("seed", args.seed)):
+        if value is not None:
+            mapping[key] = str(value)
     try:
         cfg = parse_sweep_config(mapping)
     except ValueError as exc:
         raise ParseError(args.config, None, str(exc)) from exc
-    if args.seed is not None:
-        cfg.seed = args.seed
-    dag = _load_valid_graph(args.graph) if args.graph else None
-    records, resolved = run_sweep(cfg, dag)
+    records, resolved = run_sweep(cfg)
     write_sweep_csv(records, args.out)
     sidecar = str(args.out) + ".json"
     write_sidecar(resolved, sidecar)

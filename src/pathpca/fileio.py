@@ -189,6 +189,9 @@ def write_data_csv(y, path, header: bool = False):
 
 
 def load_covariance_json(path) -> np.ndarray:
+    """The float matrix of a ``{"sigma": [[...], ...]}`` file. Every cell must
+    be a number, and an integer cell must fit in 64 bits: write larger values
+    as floats (``1e20``), as ``write_covariance_json`` does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

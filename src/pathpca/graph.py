@@ -7,15 +7,14 @@ every path computation. All path operations work on S-T paths: vertex
 sequences from ``source`` to ``terminal`` following edges.
 
 Edges are stored once, as a sorted out-adjacency in CSR form (``_indptr``
-row starts, ``_indices`` neighbours); ``in_neighbors`` scans the edges. Every
-reverse pass over the graph (the longest-path DP of the projection,
-reachability of the terminal, exact path counts) runs over one plan,
-``Dag._projection_plan``, so they agree on what an S-T path is.
+row starts, ``_indices`` neighbours). Every reverse pass over the graph
+(the longest-path DP of the projection, reachability of the terminal, exact
+path counts) runs over one plan, ``Dag._projection_plan``, so they agree on
+what an S-T path is.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,12 +174,6 @@ class Dag:
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Predecessors of v, ascending. Only out-edges are stored, so this
-        scans every edge: O(|E|) per call."""
-        pos = np.flatnonzero(self._indices == v)
-        return np.searchsorted(self._indptr, pos, side="right") - 1
-
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.out_neighbors(u)
         i = np.searchsorted(nbrs, v)
@@ -288,7 +281,7 @@ def validate(dag: Dag) -> ValidationReport:
     violations = []
     if dag.source == dag.terminal:
         violations.append("source equals terminal")
-    if dag.in_neighbors(dag.source).size > 0:
+    if (dag._indices == dag.source).any():
         violations.append("source has incoming edges")
     if dag.out_neighbors(dag.terminal).size > 0:
         violations.append("terminal has outgoing edges")
@@ -303,26 +296,6 @@ def validate(dag: Dag) -> ValidationReport:
     if np.unique(bound).size != bound.size:
         violations.append("duplicate variable binding")
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def topological_order(dag: Dag) -> np.ndarray:
-    """Topological order of all vertices, ties broken by ascending vertex id."""
-    n = dag.vertex_count
-    indeg = np.bincount(dag._indices, minlength=n).tolist()
-    heap = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    indptr, nbrs = dag._indptr, dag._indices
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in nbrs[indptr[u]:indptr[u + 1]].tolist():
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) != n:
-        raise GraphStructureError("graph contains a cycle")
-    return np.asarray(order, dtype=np.int64)
 
 
 def _ways_to_terminal(dag: Dag) -> np.ndarray:

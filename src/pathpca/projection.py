@@ -13,9 +13,8 @@ The path search is a single longest-path pass over the DAG, linear in
 values. Both run on a (V, B) block of weight columns at once: ``_paths``
 projects a block, and ``solvers.sample_and_project`` projects its candidates
 through it in chunks; each chunk's arrays fit the budget (``_block_width``).
-``project`` and ``longest_weighted_path`` are the B=1 case, on 1-D arrays.
-There is one DP and one walk, so single and batched projections agree bit
-for bit, tie-break included.
+``project`` is the B=1 case, on 1-D arrays. There is one DP and one walk, so
+single and batched projections agree bit for bit, tie-break included.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import UNBOUND, Dag, GraphStructureError, Path, _csr_gather, make_path
-
-
-@dataclass(frozen=True)
-class WeightedPathResult:
-    """Maximizing S-T path and its total vertex weight."""
-
-    path: Path
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -142,36 +133,6 @@ def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
         return x, True
     x[sup] = w[sup] / nrm
     return x, False
-
-
-def longest_weighted_path(dag: Dag, vertex_weights: np.ndarray) -> WeightedPathResult:
-    """S-T path maximizing the sum of nonnegative per-variable weights.
-
-    Parameters
-    ----------
-    dag : Dag
-    vertex_weights : array of length ``dag.dim``
-        Nonnegative weight per data variable; a vertex contributes the weight
-        of its bound variable, unbound vertices contribute zero.
-
-    Returns
-    -------
-    WeightedPathResult
-        Among maximizing paths, the lexicographically smallest vertex
-        sequence. The reported weight is the direct sum over the path's
-        support, recomputed outside the DP.
-    """
-    w = np.asarray(vertex_weights, dtype=float)
-    if w.shape != (dag.dim,):
-        raise ValueError(f"expected {dag.dim} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if w.size and w.min() < 0:
-        raise ValueError("weights must be nonnegative")
-    best = _best_to_terminal(dag, _vertex_weights(dag, w))
-    path = make_path(dag, _walk(dag, best), check=False)
-    weight = float(w[path.sorted_support()].sum()) if path.support else 0.0
-    return WeightedPathResult(path=path, weight=weight)
 
 
 def project(dag: Dag, w: np.ndarray) -> ProjectedVector:

@@ -34,7 +34,6 @@ solvers and starts share one validation and at most one eigendecomposition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -263,16 +262,6 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                           objective=float(best_x @ cov.matrix @ best_x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
-
-
-def budget_for_epsilon(epsilon: float, rank: int, p: int) -> int:
-    """ceil((2/epsilon)^rank * ln p): sample budget for an epsilon-net of the
-    rank-sphere. A convenience for sizing budgets, not a guarantee."""
-    if not (0 < epsilon):
-        raise ValueError("epsilon must be positive")
-    if rank < 1 or p < 2:
-        raise ValueError("need rank >= 1 and p >= 2")
-    return int(math.ceil((2.0 / epsilon) ** rank * math.log(p)))
 
 
 def _top_eigenvalues(s: np.ndarray, sups: np.ndarray) -> np.ndarray:

@@ -157,12 +157,11 @@ def _load_valid_graph(path) -> Dag:
     return dag
 
 
-def resolve_graph(cfg: SweepConfig, dag: Dag | None = None) -> tuple[Dag, dict]:
-    """Accept the sweep's graph, load ``cfg.graph_file`` or build the layer
-    graph, in that order; returns it plus resolved parameters."""
-    if dag is None and cfg.graph_file is not None:
+def resolve_graph(cfg: SweepConfig) -> tuple[Dag, dict]:
+    """Load and validate ``cfg.graph_file``, else build the layer graph of
+    p, k, d; returns it plus resolved parameters."""
+    if cfg.graph_file is not None:
         dag = _load_valid_graph(cfg.graph_file)
-    if dag is not None:
         return dag, {"graph": "provided", "vertex_count": dag.vertex_count,
                      "dim": dag.dim}
     p = int(cfg.p)
@@ -230,8 +229,7 @@ def _run_one(solver: str, cov: Covariance, dag: Dag, power: PowerMethodConfig,
     return res
 
 
-def run_sweep(cfg: SweepConfig, dag: Dag | None = None
-              ) -> tuple[list[ResultRecord], dict]:
+def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
     """Run every (trial, n, solver) cell; returns records plus the resolved
     configuration for the sidecar. Solver errors are recorded per row (the
     exception class name becomes the status) and the sweep continues.
@@ -244,7 +242,7 @@ def run_sweep(cfg: SweepConfig, dag: Dag | None = None
     sidecar's ``cell_prepare_s`` holds each cell's validation time,
     trial-major like the rows."""
     t0 = time.perf_counter()
-    graph, graph_info = resolve_graph(cfg, dag)
+    graph, graph_info = resolve_graph(cfg)
     solvers = sorted(cfg.solvers)
     power = PowerMethodConfig(cfg.max_iters, cfg.tol)
     records: list[ResultRecord] = []
@@ -379,19 +377,28 @@ _SWEEP_KEYS = {
 }
 
 
-def parse_sweep_config(mapping: dict[str, str]) -> SweepConfig:
-    """Build a SweepConfig from the string mapping of a config file; a key
-    the file leaves out takes the SweepConfig default."""
-    unknown = set(mapping) - set(_SWEEP_KEYS)
+def _parse_keys(mapping: dict[str, str], keys: dict, required) -> dict:
+    """Parse the string mapping of a config file with ``keys`` (config key ->
+    (name, parser of its value)); returns {name: value}. ValueError for an
+    unknown or missing key, or naming the key of a value that does not
+    parse."""
+    unknown = set(mapping) - set(keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "n" not in mapping or "trials" not in mapping:
-        raise ValueError("config must set 'n' and 'trials'")
+    missing = set(required) - set(mapping)
+    if missing:
+        raise ValueError(f"config must set: {sorted(missing)}")
     values = {}
     for key, text in mapping.items():
-        name, parse = _SWEEP_KEYS[key]
+        name, parse = keys[key]
         try:
             values[name] = parse(text)
         except ValueError as exc:
             raise ValueError(f"{key} = {text}: {exc}") from exc
-    return SweepConfig(**values)
+    return values
+
+
+def parse_sweep_config(mapping: dict[str, str]) -> SweepConfig:
+    """Build a SweepConfig from the string mapping of a config file; a key
+    the file leaves out takes the SweepConfig default."""
+    return SweepConfig(**_parse_keys(mapping, _SWEEP_KEYS, ("n", "trials")))

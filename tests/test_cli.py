@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pathpca import load_graph, load_vector, validate, write_covariance_json, write_graph, write_vector
+from pathpca import (build_layer_graph, load_graph, load_vector, validate,
+                     write_covariance_json, write_graph, write_vector)
 from pathpca.cli import _build_parser, main
 from pathpca.sweep import SweepConfig
 
@@ -26,12 +27,13 @@ def write_generate_config(tmp_path, **over):
 
 
 def write_sweep_config(tmp_path, **over):
+    """A sweep config; a key set to None is left out."""
     vals = {"p": 14, "k": 3, "d": 2, "beta": 1.0, "n": "40,80", "trials": 2,
             "solvers": "brute,power,sample,sparse-power", "budget": 30,
             "cap": 100, "seed": 7}
     vals.update(over)
     f = tmp_path / "sweep.txt"
-    f.write_text("".join(f"{k} = {v}\n" for k, v in vals.items()))
+    f.write_text("".join(f"{k} = {v}\n" for k, v in vals.items() if v is not None))
     return str(f)
 
 
@@ -80,6 +82,17 @@ class TestGenerate:
                            "--out", str(tmp_path / "d"))
         assert code == 3
         assert "zebra" in err
+
+    @pytest.mark.parametrize("key,value", [("n", "abc"), ("k", "three"),
+                                           ("beta", "big")])
+    def test_unparsable_value_names_key_and_file(self, tmp_path, capsys, key,
+                                                 value):
+        cfg = write_generate_config(tmp_path, **{key: value})
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "generate", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert "gen.txt" in err and f"{key} = {value}" in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -277,6 +290,19 @@ class TestSolve:
         assert out == ""
         assert "sigma.json" in err and "matrix of numbers" in err
 
+    def test_integer_cells_must_fit_in_64_bits(self, tmp_path, capsys):
+        g = chain_graph_file(tmp_path)
+        f = tmp_path / "sigma.json"
+        f.write_text('{"sigma": [[100000000000000000000, 0], [0, 1]]}')
+        code, out, err = run(capsys, "solve", "--graph", g, "--data", str(f))
+        assert code == 3
+        assert out == ""
+        assert "sigma.json" in err and "matrix of numbers" in err
+        f.write_text('{"sigma": [[1e20, 0], [0, 1]]}')  # the same value as a float
+        code, out, _ = run(capsys, "solve", "--graph", g, "--data", str(f))
+        assert code == 0
+        assert json.loads(out)["objective"] == 1e20
+
     @pytest.mark.parametrize("solver", ["power", "brute"])
     @pytest.mark.parametrize("setting,message", [
         (("--cap", "0"), "cap must be at least 1"),
@@ -387,7 +413,6 @@ class TestSweep:
         assert a.read_bytes() != b.read_bytes()
 
     def test_graph_file_override(self, tmp_path, capsys):
-        from pathpca import build_layer_graph
         cfg = write_sweep_config(tmp_path, n="30", trials=1, solvers="power")
         gf = tmp_path / "g.txt"
         write_graph(build_layer_graph(12, 2, 5), gf)
@@ -397,6 +422,24 @@ class TestSweep:
         assert code == 0
         sidecar = json.loads((out.parent / "c.csv.json").read_text())
         assert sidecar["graph"]["graph"] == "provided"
+
+    def test_graph_flag_needs_no_layer_shape(self, tmp_path, capsys):
+        # --graph and --seed act as the config's graph and seed keys
+        gf = tmp_path / "g.txt"
+        write_graph(build_layer_graph(14, 3, 2), gf)
+        flags, keys = tmp_path / "flags.csv", tmp_path / "keys.csv"
+        cfg = write_sweep_config(tmp_path, p=None, k=None, d=None)
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--graph", str(gf),
+                           "--seed", "99", "--out", str(flags))
+        assert code == 0, err
+        cfg = write_sweep_config(tmp_path, p=None, k=None, d=None, graph=gf, seed=99)
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(keys))
+        assert code == 0, err
+        assert flags.read_bytes() == keys.read_bytes()
+        sidecar = json.loads((tmp_path / "flags.csv.json").read_text())
+        assert sidecar["master_seed"] == 99
+        assert sidecar["graph"] == {"graph": "provided", "vertex_count": 14,
+                                    "dim": 14}
 
     @pytest.mark.parametrize("setting", [{"budget": 0}, {"rank": 0},
                                          {"max_iters": 0}, {"tol": -1},

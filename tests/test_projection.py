@@ -1,4 +1,4 @@
-"""Longest weighted path and the path-support projection."""
+"""The longest-weighted-path DP and the path-support projection."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from pathpca import (Dag, GraphStructureError, build_layer_graph, enumerate_paths,
                      is_st_path, project)
 from pathpca.projection import (_best_to_terminal, _sorted_supports, _unit_on,
-                                _vertex_weights, _walk, longest_weighted_path)
+                                _vertex_weights, _walk)
 
 from helpers import assert_feasible, oracle_best_objective, random_dag
 
@@ -22,63 +22,56 @@ def two_branch():
 
 
 class TestLongestWeightedPath:
+    """The longest-path DP behind ``project``: the winning path maximizes the
+    squared weights summed over its bound vertices."""
+
     def test_diamond_picks_heavier_branch(self):
-        res = longest_weighted_path(diamond(), np.array([0.0, 0.81, 0.49, 0.0]))
-        assert res.path.vertices == (0, 1, 3)
-        assert res.weight == 0.81
+        pv = project(diamond(), np.array([0.0, 0.9, 0.7, 0.0]))
+        assert pv.path.vertices == (0, 1, 3)
+        assert pv.x.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_diamond_tie_is_lexicographic(self):
-        res = longest_weighted_path(diamond(), np.array([0.0, 0.5, 0.5, 0.0]))
-        assert res.path.vertices == (0, 1, 3)
+        pv = project(diamond(), np.array([0.0, 0.5, -0.5, 0.0]))
+        assert pv.path.vertices == (0, 1, 3)
 
     def test_all_zero_weights(self):
-        res = longest_weighted_path(diamond(), np.zeros(4))
-        assert res.path.vertices == (0, 1, 3)
-        assert res.weight == 0.0
+        pv = project(diamond(), np.zeros(4))
+        assert pv.path.vertices == (0, 1, 3)
+        assert pv.degenerate
 
     def test_weight_is_sum_over_bound_support(self):
         d = two_branch()
-        res = longest_weighted_path(d, np.array([0.2, 0.3, 0.3]))
+        w = np.sqrt([0.2, 0.3, 0.3])
+        pv = project(d, w)
         # branch through vertices 2,3 carries 0.6; branch through 1 carries 0.2
-        assert res.path.vertices == (0, 2, 3, 5)
-        assert res.weight == pytest.approx(0.6, abs=1e-15)
+        assert pv.path.vertices == (0, 2, 3, 5)
+        assert float(w @ pv.x) ** 2 == pytest.approx(0.6, abs=1e-15)
 
     def test_matches_enumeration_on_random_dags(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             d = random_dag(rng, max_interior=18, max_paths=3000)
-            w = rng.random(d.dim)  # nonnegative, as the contract requires
-            res = longest_weighted_path(d, w)
+            w = rng.random(d.dim)
+            pv = project(d, w)
             paths = enumerate_paths(d, cap=3000)
-            best = max(float(w[p.sorted_support()].sum()) for p in paths)
-            assert res.weight == pytest.approx(best, abs=1e-10)
-            assert is_st_path(d, res.path.vertices)
-            direct = float(w[res.path.sorted_support()].sum())
-            assert res.weight == pytest.approx(direct, abs=1e-12)
+            best = max(float((w[p.sorted_support()] ** 2).sum()) for p in paths)
+            direct = float((w[pv.path.sorted_support()] ** 2).sum())
+            assert direct == pytest.approx(best, abs=1e-10)
+            assert is_st_path(d, pv.path.vertices)
 
     def test_lexicographic_among_all_maximizers(self):
         # every interior vertex weight equal: all 25 paths tie; the winner
         # must be the lexicographically smallest vertex sequence
         d = build_layer_graph(12, 2, 5)
-        w = np.ones(12)
-        res = longest_weighted_path(d, w)
+        pv = project(d, np.ones(12))
         first = enumerate_paths(d, cap=25)[0]
-        assert res.path.vertices == first.vertices
-
-    def test_rejects_bad_weights(self):
-        d = diamond()
-        with pytest.raises(ValueError):
-            longest_weighted_path(d, np.array([0.1, -0.2, 0.3, 0.0]))
-        with pytest.raises(ValueError):
-            longest_weighted_path(d, np.array([0.1, np.nan, 0.3, 0.0]))
-        with pytest.raises(ValueError):
-            longest_weighted_path(d, np.ones(3))
+        assert pv.path.vertices == first.vertices
 
     def test_unbound_vertices_carry_zero(self):
         d = two_branch()
-        res = longest_weighted_path(d, np.array([1.0, 0.1, 0.1]))
-        assert res.path.vertices == (0, 1, 4, 5)
-        assert res.weight == 1.0
+        pv = project(d, np.array([1.0, 0.1, 0.1]))
+        assert pv.path.vertices == (0, 1, 4, 5)
+        assert pv.x.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestProject:
@@ -216,8 +209,9 @@ class TestBlockProjection:
             w2 = w * w
             block = _block_paths(d, w2)
             for j in range(w.shape[1]):
-                single = longest_weighted_path(d, w2[:, j]).path.vertices
-                assert block[j] == single
+                # the 1-D DP and walk that ``project`` runs
+                single = _walk(d, _best_to_terminal(d, _vertex_weights(d, w2[:, j])))
+                assert block[j] == tuple(single.tolist())
                 assert block[j] == _first_maximizer(d, w2[:, j], paths)
 
     def test_block_matches_project(self):

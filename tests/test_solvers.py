@@ -29,7 +29,6 @@ from pathpca import (
 )
 from pathpca import solvers
 from pathpca.data import seed_key
-from pathpca.solvers import budget_for_epsilon
 
 from helpers import (assert_feasible, count_factorizations, oracle_best_rayleigh,
                      random_dag, random_psd)
@@ -236,14 +235,6 @@ class TestSampleAndProject:
         dag = diamond()
         with pytest.raises(ValueError):
             sample_and_project(np.eye(4), dag, SampleProjectConfig(rank=5, budget=10))
-
-    def test_budget_helper(self):
-        assert budget_for_epsilon(0.5, 2, 100) == 74  # ceil(16 * ln 100)
-        assert budget_for_epsilon(2.0, 1, 3) == 2     # ceil(ln 3) with base 1
-        with pytest.raises(ValueError):
-            budget_for_epsilon(0.0, 2, 100)
-        with pytest.raises(ValueError):
-            budget_for_epsilon(0.5, 0, 100)
 
 
 class TestBruteForce:

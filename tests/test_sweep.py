@@ -12,7 +12,6 @@ from pathpca import (
     ParseError,
     SweepConfig,
     build_layer_graph,
-    load_graph,
     make_path,
     run_sweep,
     write_graph,
@@ -80,11 +79,13 @@ class TestConfig:
         assert info["k"] == 4 and info["d"] == 16
         assert g == build_layer_graph(66, 4, 16)
 
-    def test_resolve_graph_provided(self):
-        dag = build_layer_graph(12, 2, 5)
-        g, info = resolve_graph(small_cfg(), dag)
-        assert g is dag
-        assert info["graph"] == "provided"
+    def test_resolve_graph_provided(self, tmp_path):
+        # a graph file wins over p, k, d
+        f = tmp_path / "g.txt"
+        write_graph(build_layer_graph(12, 2, 5), f)
+        g, info = resolve_graph(small_cfg(graph_file=str(f)))
+        assert g == build_layer_graph(12, 2, 5)
+        assert info == {"graph": "provided", "vertex_count": 12, "dim": 12}
 
 
 class TestSeedMixing:
@@ -182,21 +183,24 @@ class TestRunSweep:
         records, _ = run_sweep(cfg)
         assert records[0].status == "ok"
 
-    def test_provided_graph(self):
-        dag = build_layer_graph(12, 2, 5)
-        records, resolved = run_sweep(small_cfg(n_grid=[40], trials=1), dag=dag)
+    def test_provided_graph(self, tmp_path):
+        f = tmp_path / "g.txt"
+        write_graph(build_layer_graph(12, 2, 5), f)
+        records, resolved = run_sweep(small_cfg(n_grid=[40], trials=1,
+                                                graph_file=str(f)))
         assert all(r.status == "ok" for r in records)
         assert resolved["graph"]["graph"] == "provided"
 
     def test_graph_file_equals_provided_graph(self, tmp_path):
+        # the file holds the layer graph that small_cfg's p, k, d build
         f = tmp_path / "g.txt"
         write_graph(build_layer_graph(14, 3, 2), f)
-        cfg = small_cfg(p=None, k=None, d=None, graph_file=str(f))
-        from_file, info = run_sweep(cfg)
-        provided, _ = run_sweep(cfg, dag=load_graph(f))
+        from_file, info = run_sweep(small_cfg(p=None, k=None, d=None,
+                                              graph_file=str(f)))
+        built, _ = run_sweep(small_cfg())
         assert all(r.status == "ok" for r in from_file)
         assert ([replace(r, wall_time=0.0) for r in from_file]
-                == [replace(r, wall_time=0.0) for r in provided])
+                == [replace(r, wall_time=0.0) for r in built])
         assert info["graph"] == {"graph": "provided", "vertex_count": 14, "dim": 14}
 
     def test_invalid_graph_file_raises_parse_error(self, tmp_path):
