@@ -104,11 +104,10 @@ def cmd_generate(args) -> int:
     mapping = parse_kv_file(args.config)
     try:
         cfg = _parse_keys(mapping, _GENERATE_KEYS, _GENERATE_KEYS)
+        k, d = _layer_shape(cfg["p"], cfg["k"], cfg["d"])
     except ValueError as exc:
         raise ParseError(args.config, None, str(exc)) from exc
     p, beta, n = cfg["p"], cfg["beta"], cfg["n"]
-    k, d = _layer_shape(p, cfg["k"], cfg["d"])
-
     dag = build_layer_graph(p, k, d)
     x_star, path = random_path_vector(dag, (args.seed, 0))
     y = sample_spiked(SpikedModelParams(x_star, beta), n, (args.seed, 1))
@@ -147,7 +146,7 @@ def cmd_solve(args) -> int:
     cov = prepare_covariance(sigma, dag.dim)
     del sigma
     t2 = time.perf_counter()
-    res = _run_one(args.solver, cov, dag, power, sample, args.cap, k, 0,
+    res = _run_one(args.solver, cov, dag, power, sample, args.cap, k,
                    (args.seed,))
     t3 = time.perf_counter()
 

@@ -386,6 +386,22 @@ def enumerate_paths(dag: Dag, cap: int = 10000) -> list[Path]:
 # -- constructions ------------------------------------------------------------
 
 
+def _layer_width(p: int, k: int, d: int | None) -> int:
+    """The width (p-2)/k of each layer of the layer graph on p vertices with
+    k layers and out-degree d; ValueError unless p >= 3, k >= 1, k divides
+    p-2 and 1 <= d <= (p-2)/k (d=None: any out-degree)."""
+    if p < 3:
+        raise ValueError("p must be at least 3")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if (p - 2) % k != 0:
+        raise ValueError(f"(p-2)={p - 2} is not divisible by k={k}")
+    m = (p - 2) // k
+    if d is not None and not (1 <= d <= m):
+        raise ValueError(f"d={d} must be in 1..{m} (the layer width)")
+    return m
+
+
 def build_layer_graph(p: int, k: int, d: int) -> Dag:
     """Layer graph on ``p`` vertices: k interior layers of (p-2)/k vertices.
 
@@ -399,15 +415,7 @@ def build_layer_graph(p: int, k: int, d: int) -> Dag:
     The number of S-T paths is ((p-2)/k) * d**(k-1).
     """
     p, k, d = int(p), int(k), int(d)
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if (p - 2) % k != 0:
-        raise ValueError(f"(p-2)={p - 2} is not divisible by k={k}")
-    m = (p - 2) // k
-    if not (1 <= d <= m):
-        raise ValueError(f"d={d} must be in 1..{m} (the layer width)")
+    m = _layer_width(p, k, d)
 
     layer = [np.arange(1 + i * m, 1 + (i + 1) * m, dtype=np.int64) for i in range(k)]
     srcs = [np.zeros(m, dtype=np.int64)]

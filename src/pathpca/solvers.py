@@ -29,7 +29,7 @@ Every solver, brute force included, validates sigma through
 spectrum. Only ``sample_and_project`` reads eigenpairs: its one full-size
 ``eigh`` runs on its first read of ``Covariance.evals``, inside the call; the
 other solvers run none. Passing the prepared ``Covariance`` lets several
-solvers and starts share one validation and at most one eigendecomposition.
+solvers share one validation and at most one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, GraphStructureError, Path, _path_array, make_path
-from .projection import (ProjectedVector, _block_width, _paths,
-                         _sorted_supports, _unit_on, project)
+from .projection import (_block_width, _paths, _sorted_supports, _unit_on,
+                         project)
 
 # Byte budget of the arrays sample_and_project projects each chunk of its
 # candidates in (see projection._block_width), and of each stacked eigh of
@@ -52,16 +52,16 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class PowerMethodConfig:
-    """Iteration controls for the truncated power methods.
+    """Iteration controls and starts of the truncated power methods.
 
-    ``init`` is "diag" (project the covariance column with the largest
-    diagonal entry), "random" (project a standard normal draw), or an
-    explicit start vector used as-is for the first multiply.
+    A run starts from the covariance column with the largest diagonal entry,
+    then from ``restarts`` standard normal draws, draw j from the stream
+    keyed (*seed, j, 0), and keeps the best start (see ``_truncated_power``).
     """
 
     max_iters: int = 1000
     tol: float = 1e-9
-    init: object = "diag"
+    restarts: int = 0
     seed: object = 0
 
     def __post_init__(self):
@@ -69,8 +69,8 @@ class PowerMethodConfig:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if isinstance(self.init, str) and self.init not in ("diag", "random"):
-            raise ValueError('init must be "diag", "random", or a start vector')
+        if self.restarts < 0:
+            raise ValueError("restarts must be nonnegative")
 
 
 @dataclass
@@ -96,7 +96,8 @@ class EstimateResult:
     The power methods also fill ``stop_reason`` ("step", "stable" or
     "max_iters", see ``_truncated_power``) and ``degenerate``, the number of
     iterates whose path projection fell back to the uniform loading
-    (``ProjectedVector.degenerate``; always 0 for the sparse baseline)."""
+    (``ProjectedVector.degenerate``; always 0 for the sparse baseline); both,
+    like the trace, are the winning start's."""
 
     x: np.ndarray
     path: Path | None
@@ -104,70 +105,44 @@ class EstimateResult:
     iterations: int
     trace: list[float] = field(default_factory=list)
     rank_objective: float | None = None
-    iterates: list[ProjectedVector] | None = None
     stop_reason: str | None = None
     degenerate: int = 0
 
 
-def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
-    """Truncated power iteration x <- step(s @ x) for both power methods.
+def _starts(s: np.ndarray, cfg: PowerMethodConfig):
+    # The start weights of the power methods, in order: the column of s with
+    # the largest diagonal entry, then cfg.restarts standard normal draws.
+    yield s[:, int(np.argmax(np.diag(s)))]
+    key = seed_key(cfg.seed)
+    for j in range(cfg.restarts):
+        yield np.random.default_rng(key + (j, 0)).standard_normal(s.shape[0])
 
-    ``step(w)`` returns ``(x, idx, item)``: the feasible unit vector nearest
-    w, the ascending indices ``idx`` of its support (an int array that holds
-    every nonzero of x), and an item returned for the best iterate; no other
-    item is kept. Each iterate is multiplied only on its support: ``u =
-    x[idx] @ s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is
-    exactly symmetric, the Rayleigh quotient is read off as ``x[idx] @
-    u[idx]``, and u is the next step's input, so an iteration costs one
-    O(p * |idx|) product. A "diag" or "random" start is stepped and counts
-    in the trace; an explicit start is used as-is, with one dense ``s @ x``
-    for its first multiply.
 
-    Stops when the iterate moves less than ``tol`` (stop reason "step"),
-    when the support has been stable for two consecutive steps with
-    objective change at most ``tol`` ("stable"), or at ``max_iters``
-    ("max_iters"). Returns the best iterate (first on ties) as a result with
-    ``path=None`` and its stop reason, plus its item.
-    """
-    cfg = cfg if cfg is not None else PowerMethodConfig()
-    p = s.shape[0]
-    if isinstance(cfg.init, str):
-        if cfg.init == "diag":
-            w = s[:, int(np.argmax(np.diag(s)))]
-        else:
-            w = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(p)
-        x, idx, item = step(w)
-        u = x[idx] @ s[idx]
-        obj = float(x[idx] @ u[idx])
-        trace = [obj]
-        best_x, best_obj, best_item, prev_idx = x, obj, item, idx
-    else:
-        x = np.asarray(cfg.init, dtype=float)
-        if x.shape != (p,):
-            raise ValueError(f"start vector must have length {p}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("start vector must be finite")
-        u = s @ x
-        trace = []
-        best_x, best_obj, best_item, prev_idx = None, -np.inf, None, None
-
-    stable = 0
-    stop_reason = "max_iters"
+def _power_from(s: np.ndarray, step, w: np.ndarray, cfg: PowerMethodConfig):
+    """One start of ``_truncated_power`` from the start weight w; returns its
+    best iterate (first on ties) as a result with ``path=None``, plus its
+    item."""
+    x, idx, item, degenerate = step(w)
+    u = x[idx] @ s[idx]
+    best_obj = float(x[idx] @ u[idx])
+    trace = [best_obj]
+    best_x, best_item = x, item
+    stable, stop_reason = 0, "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
-        nxt, idx, item = step(u)
-        u = nxt[idx] @ s[idx]
-        obj = float(nxt[idx] @ u[idx])
+        nxt, nxt_idx, item, deg = step(u)
+        degenerate += deg
+        u = nxt[nxt_idx] @ s[nxt_idx]
+        obj = float(nxt[nxt_idx] @ u[nxt_idx])
         trace.append(obj)
-        if best_x is None or obj > best_obj:
+        if obj > best_obj:
             best_x, best_obj, best_item = nxt, obj, item
         del item  # keep no item but the best one
         moved = float(np.linalg.norm(nxt - x))
-        if (prev_idx is not None and np.array_equal(idx, prev_idx)
-                and abs(obj - trace[-2]) <= cfg.tol):
+        if np.array_equal(nxt_idx, idx) and abs(obj - trace[-2]) <= cfg.tol:
             stable += 1
         else:
             stable = 0
-        x, prev_idx = nxt, idx
+        x, idx = nxt, nxt_idx
         if moved <= cfg.tol:
             stop_reason = "step"
             break
@@ -176,37 +151,63 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
             break
     res = EstimateResult(x=best_x, path=None, objective=best_obj,
                          iterations=iterations, trace=trace,
-                         stop_reason=stop_reason)
+                         stop_reason=stop_reason, degenerate=degenerate)
     return res, best_item
 
 
+def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
+    """Truncated power iteration x <- step(s @ x) for both power methods,
+    from every start of ``cfg``.
+
+    ``step(w)`` returns ``(x, idx, item, degenerate)``: the feasible unit
+    vector nearest w, the ascending indices ``idx`` of its support (an int
+    array that holds every nonzero of x), an item returned for the best
+    iterate (no other item is kept), and whether the step fell back to a
+    degenerate loading. A start's weight is stepped first and counts in the
+    trace. Each iterate is multiplied only on its support: ``u = x[idx] @
+    s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is exactly
+    symmetric, the Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and
+    u is the next step's input, so an iteration costs one O(p * |idx|)
+    product.
+
+    A start stops when the iterate moves less than ``tol`` (stop reason
+    "step"), when the support has been stable for two consecutive steps with
+    objective change at most ``tol`` ("stable"), or at ``max_iters``
+    ("max_iters"). The starts run one after another (see ``_starts``); the
+    best objective wins, the earliest start on ties, with its x, trace, item,
+    stop reason and degenerate count, and the iterations are summed over all
+    starts. While a start runs, only the best of the finished starts is kept.
+    """
+    cfg = cfg if cfg is not None else PowerMethodConfig()
+    best, best_item, iterations = None, None, 0
+    for w in _starts(s, cfg):
+        res, item = _power_from(s, step, w, cfg)
+        iterations += res.iterations
+        if best is None or res.objective > best.objective:
+            best, best_item = res, item
+        del res, item  # keep no start but the best one
+    return replace(best, iterations=iterations), best_item
+
+
 def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
-                          config: PowerMethodConfig | None = None,
-                          record_iterates: bool = False) -> EstimateResult:
+                          config: PowerMethodConfig | None = None) -> EstimateResult:
     """Maximize x^T sigma x over path-supported unit vectors, iteratively.
 
-    Each step projects sigma @ x back onto the feasible set; start handling,
-    the support-restricted products and the stopping rules are those of
+    Each step projects sigma @ x back onto the feasible set; the starts, the
+    support-restricted products and the stopping rules are those of
     ``_truncated_power``. Returns the best-objective iterate seen, which the
-    nondecreasing trace makes the last one in exact arithmetic. With
-    ``record_iterates`` the result also lists every projected iterate.
+    nondecreasing trace makes the last one of its start in exact arithmetic.
 
     Requires PSD input; that is what makes the trace monotone.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
-    iterates = [] if record_iterates else None
-    degenerate = 0
 
     def step(w):
-        nonlocal degenerate
         pv = project(dag, w)
-        degenerate += pv.degenerate
-        if iterates is not None:
-            iterates.append(pv)
-        return pv.x, pv.path.sorted_support(), pv
+        return pv.x, pv.path.sorted_support(), pv, pv.degenerate
 
     res, best = _truncated_power(s, step, config)
-    return replace(res, path=best.path, degenerate=degenerate, iterates=iterates)
+    return replace(res, path=best.path)
 
 
 def _direction(key: tuple[int, ...], i: int, rank: int) -> np.ndarray:
@@ -339,9 +340,9 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
                            config: PowerMethodConfig | None = None) -> EstimateResult:
     """k-sparse truncated power baseline: thresholding instead of a graph.
 
-    Same loop as ``graph_truncated_power`` with the projection replaced by
-    keep-top-k-and-normalize; the diag init keeps the top k entries of the
-    max-diagonal column. The result has ``path=None``; its support is any k
+    Same loop and starts as ``graph_truncated_power`` with the projection
+    replaced by keep-top-k-and-normalize; the diagonal start keeps the top k
+    entries of the max-diagonal column. The result has ``path=None``; its support is any k
     coordinates. With k = p this is plain power iteration.
     """
     s = prepare_covariance(sigma).matrix
@@ -351,6 +352,6 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
 
     def step(w):
         x = _top_k_unit(w, k)
-        return x, np.flatnonzero(x), None
+        return x, np.flatnonzero(x), None, False
 
     return _truncated_power(s, step, config)[0]

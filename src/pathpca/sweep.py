@@ -9,8 +9,9 @@ so reruns of the same config write byte-identical CSVs.
 Seed mixing: the cell seed for (trial, n_index) is
 ``SeedSequence((master, trial, n_index)).generate_state(1, uint64)[0]``;
 the planted vector uses stream (cell_seed, 0), the sampler (cell_seed, 1),
-sample-and-project (cell_seed, 2), and random restarts of the two power
-methods (cell_seed, 3, j) and (cell_seed, 4, j) for restart j.
+sample-and-project (cell_seed, 2), and the power methods the seed
+(cell_seed, 3) for ``power`` and (cell_seed, 4) for ``sparse-power``: their
+random start j draws from the stream (*seed, j, 0) (see ``PowerMethodConfig``).
 
 The power methods are local, so each cell runs them from the diagonal start
 plus ``restarts`` seeded random starts and keeps the best objective. A single
@@ -37,7 +38,8 @@ from .data import (Covariance, SpikedModelParams, covariance_with_spectrum,
                    empirical_covariance, gaussian_sampler, prepare_covariance,
                    random_path_vector, sample_spiked)
 from .fileio import ParseError, _content_lines, load_graph
-from .graph import Dag, build_layer_graph, count_paths, is_st_path, validate
+from .graph import (Dag, _layer_width, build_layer_graph, count_paths,
+                    is_st_path, validate)
 from .metrics import evaluate
 from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
                       brute_force_solve, graph_truncated_power,
@@ -54,13 +56,14 @@ class InternalInvariantError(RuntimeError):
 
 
 def solver_configs(sparsity, cap: int, max_iters: int, tol: float, rank: int,
-                   budget: int, seed=0):
+                   budget: int, seed=0, restarts: int = 0):
     """The power and sampler configs for ``_run_one``; ValueError for a bad setting."""
     if sparsity != "auto" and int(sparsity) < 1:
         raise ValueError('sparsity must be "auto" or a positive integer')
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return PowerMethodConfig(max_iters, tol), SampleProjectConfig(rank, budget, seed)
+    return (PowerMethodConfig(max_iters, tol, restarts),
+            SampleProjectConfig(rank, budget, seed))
 
 
 @dataclass
@@ -109,10 +112,9 @@ class SweepConfig:
         if self.graph_file is None:
             if self.p is None or self.k is None or self.d is None:
                 raise ValueError("need either graph_file or all of p, k, d")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+            _layer_shape(int(self.p), self.k, self.d)
         solver_configs(self.sparsity, self.cap, self.max_iters, self.tol,
-                       self.rank, self.budget)
+                       self.rank, self.budget, restarts=self.restarts)
 
 
 @dataclass
@@ -142,9 +144,11 @@ def nearest_divisor_layers(p: int) -> int:
 def _layer_shape(p: int, k, d) -> tuple[int, int]:
     """Layer count and out-degree of a layer graph on p vertices, with
     k = 'auto' resolved by ``nearest_divisor_layers`` and d = 'full' as the
-    layer width (p-2)/k."""
+    layer width (p-2)/k; ValueError for a shape ``build_layer_graph``
+    rejects."""
     k = nearest_divisor_layers(p) if k == "auto" else int(k)
-    return k, ((p - 2) // k if d == "full" else int(d))
+    width = _layer_width(p, k, None if d == "full" else int(d))
+    return k, (width if d == "full" else int(d))
 
 
 def _load_valid_graph(path) -> Dag:
@@ -191,34 +195,18 @@ def check_structured_output(dag: Dag, result: EstimateResult, solver: str):
         raise InternalInvariantError(f"{solver}: estimate support leaves its path")
 
 
-def _best_of_starts(run, power: PowerMethodConfig, restarts: int,
-                    stream: tuple) -> EstimateResult:
-    """The ``power`` start plus ``restarts`` random starts seeded (*stream, j),
-    best objective kept (the first start wins ties). Iterations are summed
-    over all starts; the stop reason and degenerate count are the winner's."""
-    best = run(power)
-    total = best.iterations
-    for j in range(restarts):
-        res = run(replace(power, init="random", seed=stream + (j,)))
-        total += res.iterations
-        if res.objective > best.objective:
-            best = res
-    return replace(best, iterations=total)
-
-
 def _run_one(solver: str, cov: Covariance, dag: Dag, power: PowerMethodConfig,
              sample: SampleProjectConfig, cap: int, k: int | None,
-             restarts: int, seed: tuple) -> EstimateResult:
+             seed: tuple) -> EstimateResult:
     """One solver on a prepared covariance, a structured solver's path checked.
-    The power methods take the best of ``_best_of_starts``, the random starts
-    seeded (*seed, 3, j) for ``power`` and (*seed, 4, j) for ``sparse-power``
-    (support size ``k``)."""
+    The power methods run the starts of ``power`` with the seed (*seed, 3)
+    for ``power`` and (*seed, 4) for ``sparse-power`` (support size ``k``),
+    so random start j draws from the stream (*seed, 3, j, 0) or
+    (*seed, 4, j, 0)."""
     if solver == "sparse-power":  # unstructured: no path to check
-        return _best_of_starts(lambda pc: sparse_truncated_power(cov, k, pc),
-                               power, restarts, seed + (4,))
+        return sparse_truncated_power(cov, k, replace(power, seed=seed + (4,)))
     if solver == "power":
-        res = _best_of_starts(lambda pc: graph_truncated_power(cov, dag, pc),
-                              power, restarts, seed + (3,))
+        res = graph_truncated_power(cov, dag, replace(power, seed=seed + (3,)))
     elif solver == "sample":
         res = sample_and_project(cov, dag, sample)
     elif solver == "brute":
@@ -244,7 +232,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg)
     solvers = sorted(cfg.solvers)
-    power = PowerMethodConfig(cfg.max_iters, cfg.tol)
+    power = PowerMethodConfig(cfg.max_iters, cfg.tol, cfg.restarts)
     records: list[ResultRecord] = []
     cell_prepare_s: list[float] = []
     for trial in range(cfg.trials):
@@ -270,7 +258,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
                     cov = prepare_covariance(cov, graph.dim)
                     prepare_s += time.perf_counter() - t1
                     res = _run_one(solver, cov, graph, power, sample, cfg.cap,
-                                   k, cfg.restarts, (cseed,))
+                                   k, (cseed,))
                 except InternalInvariantError:
                     raise
                 except Exception as exc:

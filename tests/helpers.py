@@ -140,3 +140,28 @@ def count_factorizations(monkeypatch, p: int) -> dict[str, int]:
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     return counts
+
+
+def record_projections(monkeypatch) -> list:
+    """Record, from this call on, every ``ProjectedVector`` the power method
+    makes (through ``solvers.project``), in order, in the returned list."""
+    from pathpca import solvers
+
+    made = []
+    project = solvers.project
+
+    def recorded(dag, w):
+        pv = project(dag, w)
+        made.append(pv)
+        return pv
+
+    monkeypatch.setattr(solvers, "project", recorded)
+    return made
+
+
+def one_start(monkeypatch, w):
+    """From this call on, the power methods run from the one start weight w,
+    whatever their restarts and seed."""
+    from pathpca import solvers
+
+    monkeypatch.setattr(solvers, "_starts", lambda s, cfg: iter([w]))

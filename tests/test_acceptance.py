@@ -17,6 +17,7 @@ from helpers import (
     oracle_best_objective,
     random_dag,
     random_psd,
+    record_projections,
 )
 from pathpca import (
     build_group_graph,
@@ -106,16 +107,19 @@ def _timed_projection(dag, w):
     return time.perf_counter() - t0
 
 
-def test_03_power_method_monotone_and_feasible(report):
+def test_03_power_method_monotone_and_feasible(report, monkeypatch):
     rng = np.random.default_rng(301)
     worst_dip = 0.0
+    iterates = record_projections(monkeypatch)
     for _ in range(100):
         dag = random_dag(rng)
         sigma = random_psd(dag.dim, rng)
-        res = graph_truncated_power(sigma, dag, record_iterates=True)
+        iterates.clear()
+        res = graph_truncated_power(sigma, dag)
         dips = [a - b for a, b in zip(res.trace, res.trace[1:])]
         worst_dip = max([worst_dip] + dips)
-        for pv in res.iterates:
+        assert len(iterates) == res.iterations + 1
+        for pv in iterates:
             assert_feasible(dag, pv.x, pv.path)
     ok = worst_dip <= 1e-10
     report(3, ok, "power method objectives never decrease and every iterate "

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ class TestGenerate:
         assert code == 3
         assert "gen.txt" in err and f"{key} = {value}" in err
         assert not out.exists()
+
+
+# layer shapes build_layer_graph rejects, with the error it gives
+BAD_LAYER_SHAPES = [({"p": 13, "k": 3, "d": 2}, "(p-2)=11 is not divisible by k=3"),
+                    ({"p": 2, "k": 1, "d": 1}, "p must be at least 3"),
+                    ({"p": 14, "k": 3, "d": 9}, "d=9 must be in 1..4 (the layer width)"),
+                    ({"p": 14, "k": 0, "d": "full"}, "k must be at least 1")]
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("shape,message", BAD_LAYER_SHAPES)
+def test_bad_layer_shape_names_the_config(tmp_path, capsys, command, shape,
+                                          message):
+    write = write_generate_config if command == "generate" else write_sweep_config
+    cfg = write(tmp_path, **shape)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, "--config", cfg, "--out", str(out))
+    assert code == 3
+    assert f"error: {cfg}: {message}" in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == [FsPath(cfg).name]
 
 
 class TestSolve:

@@ -2,6 +2,7 @@
 and the unstructured sparse baseline."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from pathpca import (
 from pathpca import solvers
 from pathpca.data import seed_key
 
-from helpers import (assert_feasible, count_factorizations, oracle_best_rayleigh,
-                     random_dag, random_psd)
+from helpers import (assert_feasible, count_factorizations, one_start,
+                     oracle_best_rayleigh, random_dag, random_psd,
+                     record_projections)
 
 
 def diamond():
@@ -43,15 +45,15 @@ class TestConfigs:
         cfg = PowerMethodConfig()
         assert cfg.max_iters == 1000
         assert cfg.tol == 1e-9
-        assert cfg.init == "diag"
+        assert (cfg.restarts, cfg.seed) == (0, 0)
 
     def test_power_validation(self):
         with pytest.raises(ValueError):
             PowerMethodConfig(max_iters=0)
         with pytest.raises(ValueError):
             PowerMethodConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            PowerMethodConfig(init="bogus")
+        with pytest.raises(ValueError, match="restarts"):
+            PowerMethodConfig(restarts=-1)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -68,30 +70,32 @@ class TestGraphTruncatedPower:
         assert res.objective == pytest.approx(1.0, abs=1e-12)
         assert_feasible(dag, res.x, res.path)
 
-    def test_rank_one_recovers_in_one_step(self):
+    def test_rank_one_recovers_in_one_step(self, monkeypatch):
         dag = build_layer_graph(18, 4, 4)
         v, _ = random_path_vector(dag, seed=3)
         sigma = np.outer(v, v)
-        x0 = np.full(18, 1.0 / np.sqrt(18.0))
-        assert abs(v @ x0) > 1e-3
-        res = graph_truncated_power(sigma, dag,
-                                    PowerMethodConfig(init=x0),
-                                    record_iterates=True)
-        first = res.iterates[0].x
+        one_start(monkeypatch, np.full(18, 1.0 / np.sqrt(18.0)))
+        iterates = record_projections(monkeypatch)
+        res = graph_truncated_power(sigma, dag)
+        assert abs(v @ iterates[0].x) > 1e-3  # the start overlaps v
+        first = iterates[1].x  # after one multiply
         assert abs(float(first @ v)) == pytest.approx(1.0, abs=1e-12)
         assert abs(float(res.x @ v)) == pytest.approx(1.0, abs=1e-12)
         assert res.iterations <= 3
 
-    def test_monotone_trace_and_feasible_iterates(self):
+    def test_monotone_trace_and_feasible_iterates(self, monkeypatch):
         rng = np.random.default_rng(41)
+        iterates = record_projections(monkeypatch)
         for _ in range(25):
             dag = random_dag(rng, max_interior=16)
             sigma = random_psd(dag.dim, rng)
-            res = graph_truncated_power(sigma, dag, record_iterates=True)
+            iterates.clear()
+            res = graph_truncated_power(sigma, dag)
             t = np.asarray(res.trace)
             assert np.all(np.diff(t) >= -1e-10)
             assert res.objective >= 0.0
-            for pv in res.iterates:
+            assert len(iterates) == res.iterations + 1
+            for pv in iterates:
                 assert_feasible(dag, pv.x, pv.path)
             assert res.objective == pytest.approx(max(res.trace), abs=0)
 
@@ -103,17 +107,21 @@ class TestGraphTruncatedPower:
         assert res.objective == max(res.trace)
         assert float(res.x @ sigma @ res.x) == pytest.approx(res.objective, abs=1e-12)
 
-    def test_random_init_is_seeded(self):
+    def test_random_init_is_seeded(self, monkeypatch):
         dag = build_layer_graph(12, 2, 5)
         rng = np.random.default_rng(44)
         sigma = random_psd(12, rng)
-        a = graph_truncated_power(sigma, dag, PowerMethodConfig(init="random", seed=5))
-        b = graph_truncated_power(sigma, dag, PowerMethodConfig(init="random", seed=5))
-        c = graph_truncated_power(sigma, dag, PowerMethodConfig(init="random", seed=6))
-        assert np.array_equal(a.x, b.x)
-        assert a.trace == b.trace
-        # a different seed starts elsewhere even if it converges to the same x
-        assert a.trace != c.trace or np.array_equal(a.x, c.x)
+        iterates = record_projections(monkeypatch)
+        runs = []
+        for seed in (5, 5, 6):
+            iterates.clear()
+            res = graph_truncated_power(sigma, dag, PowerMethodConfig(restarts=3, seed=seed))
+            runs.append((res, [pv.x.tobytes() for pv in iterates]))
+        (a, a_xs), (b, b_xs), (c, c_xs) = runs
+        assert a.x.tobytes() == b.x.tobytes() and a.trace == b.trace
+        assert a_xs == b_xs
+        # a different seed starts elsewhere, even if it converges to the same x
+        assert a_xs != c_xs
 
     def test_matches_brute_force_on_spiked_instances(self):
         # frozen instance family: planted path spike, beta=2, n=400; the local
@@ -133,14 +141,17 @@ class TestGraphTruncatedPower:
                 hits += 1
         assert hits >= 70
 
-    def test_rank_deficient_covariance(self):
+    def test_rank_deficient_covariance(self, monkeypatch):
         rng = np.random.default_rng(331)
+        iterates = record_projections(monkeypatch)
         for _ in range(15):
             dag = random_dag(rng, max_interior=14, max_paths=400)
             sigma = _rank_deficient(dag, rng)
-            res = graph_truncated_power(sigma, dag, record_iterates=True)
+            iterates.clear()
+            res = graph_truncated_power(sigma, dag)
             assert np.all(np.diff(np.asarray(res.trace)) >= -1e-10)
-            for pv in res.iterates:
+            assert len(iterates) == res.iterations + 1
+            for pv in iterates:
                 assert_feasible(dag, pv.x, pv.path)
             assert res.objective >= -1e-12
             assert res.objective <= brute_force_solve(sigma, dag, cap=400).objective + 1e-9
@@ -153,8 +164,6 @@ class TestGraphTruncatedPower:
             graph_truncated_power(np.triu(np.ones((4, 4))), dag)  # asymmetric
         with pytest.raises(ValueError):
             graph_truncated_power(np.eye(5), dag)  # dimension mismatch
-        with pytest.raises(ValueError):
-            graph_truncated_power(np.eye(4), dag, PowerMethodConfig(init=np.ones(3)))
 
 
 class TestTerminalWithOutEdge:
@@ -482,10 +491,9 @@ class TestSparseTruncatedPower:
             assert full.objective == pytest.approx(np.linalg.eigvalsh(sigma)[-1], rel=1e-6)
 
     def test_threshold_tie_breaks_ascending(self):
-        # k=2 over equal magnitudes keeps the two lowest indices
-        sigma = np.eye(3)
-        res = sparse_truncated_power(sigma, k=2,
-                                     config=PowerMethodConfig(init=np.ones(3)))
+        # k=2 over equal magnitudes keeps the two lowest indices, from the
+        # diagonal start (column 0) on
+        res = sparse_truncated_power(np.ones((3, 3)), k=2)
         assert np.flatnonzero(res.x).tolist() == [0, 1]
 
     def test_rejects_bad_k(self):
@@ -493,11 +501,6 @@ class TestSparseTruncatedPower:
             sparse_truncated_power(np.eye(3), k=0)
         with pytest.raises(ValueError):
             sparse_truncated_power(np.eye(3), k=4)
-
-    def test_rejects_non_finite_start(self):
-        with pytest.raises(ValueError, match="finite"):
-            sparse_truncated_power(np.eye(4), k=2, config=PowerMethodConfig(
-                init=np.array([np.nan, 1.0, 1.0, 1.0])))
 
 
 def _top_k_lexsort(w, k):
@@ -509,28 +512,21 @@ def _top_k_lexsort(w, k):
     return x
 
 
-def _dense_power(s, step, cfg):
-    """The truncated power loop with dense products, s @ x and x @ s @ x, and
-    supports compared as sets: the definition the support-restricted loop
-    must reproduce. ``step(w)`` returns (x, support set, item); returns
-    (trace, items, iterations, stop reason)."""
-    if isinstance(cfg.init, str):
-        if cfg.init == "diag":
-            w = s[:, int(np.argmax(np.diag(s)))]
-        else:
-            w = np.random.default_rng(seed_key(cfg.seed) + (0,)).standard_normal(s.shape[0])
-        x, prev, item = step(w)
-        trace, items = [float(x @ s @ x)], [item]
-    else:
-        x, prev = np.asarray(cfg.init, dtype=float), None
-        trace, items = [], []
+def _dense_power(s, step, w, cfg):
+    """One start of the truncated power loop with dense products, s @ x and
+    x @ s @ x, and supports compared as sets: the definition the
+    support-restricted loop must reproduce. ``step(w)`` returns (x, support
+    set, item); the start weight w is stepped first. Returns (trace, items,
+    iterations, stop reason)."""
+    x, prev, item = step(w)
+    trace, items = [float(x @ s @ x)], [item]
     stable, reason = 0, "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
         nxt, sup, item = step(s @ x)
         trace.append(float(nxt @ s @ nxt))
         items.append(item)
         moved = float(np.linalg.norm(nxt - x))
-        same = prev is not None and sup == prev and abs(trace[-1] - trace[-2]) <= cfg.tol
+        same = sup == prev and abs(trace[-1] - trace[-2]) <= cfg.tol
         stable = stable + 1 if same else 0
         x, prev = nxt, sup
         if moved <= cfg.tol:
@@ -542,25 +538,161 @@ def _dense_power(s, step, cfg):
     return trace, items, iterations, reason
 
 
+def _start_weights(s, cfg):
+    # the documented starts: the max-diagonal column, then restart j drawn
+    # from the stream keyed (*seed, j, 0)
+    return [s[:, int(np.argmax(np.diag(s)))]] + [
+        np.random.default_rng(seed_key(cfg.seed) + (j, 0)).standard_normal(s.shape[0])
+        for j in range(cfg.restarts)]
+
+
+def _best_of_starts(run, weights):
+    """Reference multi-start: ``run(w)`` solves from the one start weight w;
+    the best objective is kept (the first start wins ties), with the winner's
+    x, trace, path, stop reason and degenerate count, and the iterations are
+    summed over all starts."""
+    best = run(weights[0])
+    total = best.iterations
+    for w in weights[1:]:
+        res = run(w)
+        total += res.iterations
+        if res.objective > best.objective:
+            best = res
+    return replace(best, iterations=total)
+
+
+def _solve_from(monkeypatch, solve, w):
+    # solve() run from the one start weight w
+    with monkeypatch.context() as m:
+        one_start(m, w)
+        return solve()
+
+
+def _power_cases(rng, count):
+    # random DAGs with PSD, rank-deficient, zero and rank-one covariances
+    for t in range(count):
+        dag = random_dag(rng, max_interior=16)
+        a = rng.standard_normal((dag.dim, 1))
+        yield dag, (random_psd(dag.dim, rng), _rank_deficient(dag, rng),
+                    np.zeros((dag.dim, dag.dim)), a @ a.T)[t % 4]
+
+
+class TestMultiStart:
+    """Both power methods run the diagonal start, then ``restarts`` seeded
+    random starts, and keep the best; they must equal the reference
+    ``_best_of_starts`` over single starts byte for byte."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.trace, got.objective, got.iterations, got.stop_reason,
+                got.degenerate, got.path) == \
+            (want.trace, want.objective, want.iterations, want.stop_reason,
+             want.degenerate, want.path)
+
+    def _check(self, monkeypatch, sigma, solve, restarts, seed):
+        cfg = PowerMethodConfig(restarts=restarts, seed=seed)
+        got = solve(cfg)
+        want = _best_of_starts(
+            lambda w: _solve_from(monkeypatch, lambda: solve(PowerMethodConfig()), w),
+            _start_weights(sigma, cfg))
+        self._assert_same(got, want)
+        return got
+
+    def test_equals_reference_over_single_starts(self, monkeypatch):
+        rng = np.random.default_rng(451)
+        later_wins = 0
+        for t, (dag, sigma) in enumerate(_power_cases(rng, 24)):
+            k = int(rng.integers(1, dag.dim + 1))
+            first = graph_truncated_power(sigma, dag)
+            for restarts in (0, 1, 5):
+                got = self._check(monkeypatch, sigma,
+                                  lambda c: graph_truncated_power(sigma, dag, c),
+                                  restarts, (t, 3))
+                later_wins += got.objective > first.objective
+                self._check(monkeypatch, sigma,
+                            lambda c: sparse_truncated_power(sigma, k, c),
+                            restarts, (t, 4))
+        assert later_wins > 0  # some random start beats the diagonal one
+
+    def test_spiked_instance(self, monkeypatch):
+        dag = build_layer_graph(130, 8, 4)
+        x_star, _ = random_path_vector(dag, seed=409)
+        sigma = empirical_covariance(sample_spiked(
+            SpikedModelParams(x_star=x_star, beta=2.0), 60, seed=419))
+        for restarts in (0, 1, 5):
+            self._check(monkeypatch, sigma,
+                        lambda c: graph_truncated_power(sigma, dag, c), restarts, 3)
+            self._check(monkeypatch, sigma,
+                        lambda c: sparse_truncated_power(sigma, 17, c), restarts, 4)
+
+    def test_best_start_keeps_its_diagnostics(self, monkeypatch):
+        # zero covariance, one iteration per start: every start ties at 0 and
+        # the diagonal start wins with its x, stop reason and degenerate
+        # count; the iterations are summed over all three starts
+        dag = build_layer_graph(12, 2, 5)
+        sigma = np.zeros((12, 12))
+        cfg = PowerMethodConfig(max_iters=1, restarts=2, seed=1)
+        res = graph_truncated_power(sigma, dag, cfg)
+        assert (res.objective, res.iterations) == (0.0, 3)
+        assert (res.stop_reason, res.degenerate) == ("step", 2)
+        assert res.path == enumerate_paths(dag, cap=25)[0]
+        # alone, a random start ends otherwise: its start is not degenerate,
+        # and its one step falls back to the uniform loading
+        for w in _start_weights(sigma, cfg)[1:]:
+            alone = _solve_from(monkeypatch,
+                                lambda: graph_truncated_power(sigma, dag, cfg), w)
+            assert (alone.objective, alone.iterations) == (0.0, 1)
+            assert (alone.stop_reason, alone.degenerate) == ("max_iters", 1)
+            assert alone.x.tobytes() != res.x.tobytes()
+
+    def test_later_winner_keeps_its_diagnostics(self, monkeypatch):
+        # a random start beats the diagonal one and stops for another reason
+        # (a few iterations make "max_iters" stops common): the result
+        # carries its x, trace, stop reason and degenerate count, and all
+        # starts' iterations
+        rng = np.random.default_rng(461)
+        cfg = PowerMethodConfig(max_iters=6, restarts=3, seed=7)
+        for dag, sigma in _power_cases(rng, 40):
+            single = [_solve_from(monkeypatch, lambda: graph_truncated_power(
+                          sigma, dag, replace(cfg, restarts=0)), w)
+                      for w in _start_weights(sigma, cfg)]
+            objs = [r.objective for r in single]
+            win = objs.index(max(objs))
+            if win == 0 or single[win].stop_reason == single[0].stop_reason:
+                continue
+            res = graph_truncated_power(sigma, dag, cfg)
+            assert res.x.tobytes() == single[win].x.tobytes()
+            assert res.trace == single[win].trace
+            assert (res.stop_reason, res.degenerate) == \
+                (single[win].stop_reason, single[win].degenerate)
+            assert res.iterations == sum(r.iterations for r in single)
+            return
+        pytest.fail("no instance where a later start wins with another stop reason")
+
+
 class TestSupportRestrictedLoop:
     """Both power methods multiply only on the iterate's support; they must
     agree with the dense loop to 1e-12 and take the same discrete steps."""
 
     def _cases(self):
+        # each start the power methods may take, run alone: the diagonal
+        # column, a seeded random draw and an arbitrary vector
         rng = np.random.default_rng(401)
         for t in range(16):
             dag = random_dag(rng, max_interior=16)
             sigma = (random_psd(dag.dim, rng), _rank_deficient(dag, rng),
                      empirical_covariance(rng.standard_normal((dag.dim, 3 * dag.dim))),
                      np.zeros((dag.dim, dag.dim)))[t % 4]
-            for init in ("diag", "random", rng.standard_normal(dag.dim)):
-                yield dag, sigma, PowerMethodConfig(init=init, seed=(t, 1))
+            for w in _start_weights(sigma, PowerMethodConfig(restarts=1, seed=(t, 1))):
+                yield dag, sigma, w
+            yield dag, sigma, rng.standard_normal(dag.dim)
         dag = build_layer_graph(130, 8, 4)
         x_star, _ = random_path_vector(dag, seed=409)
         sigma = empirical_covariance(sample_spiked(
             SpikedModelParams(x_star=x_star, beta=2.0), 60, seed=419))
-        for init in ("diag", "random"):
-            yield dag, sigma, PowerMethodConfig(init=init, seed=3)
+        for w in _start_weights(sigma, PowerMethodConfig(restarts=1, seed=3)):
+            yield dag, sigma, w
 
     @staticmethod
     def _assert_trace_close(got, want):
@@ -568,15 +700,18 @@ class TestSupportRestrictedLoop:
         scale = max(1.0, max(abs(v) for v in want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
-    def test_graph_power_matches_dense_loop(self):
-        for dag, sigma, cfg in self._cases():
+    def test_graph_power_matches_dense_loop(self, monkeypatch):
+        made = record_projections(monkeypatch)
+        cfg = PowerMethodConfig()
+        for dag, sigma, w in self._cases():
             def step(w):
                 pv = project(dag, w)
                 return pv.x, pv.path.support, pv
-            trace, iterates, iterations, reason = _dense_power(sigma, step, cfg)
-            res = graph_truncated_power(sigma, dag, cfg, record_iterates=True)
+            trace, iterates, iterations, reason = _dense_power(sigma, step, w, cfg)
+            made.clear()
+            res = _solve_from(monkeypatch, lambda: graph_truncated_power(sigma, dag), w)
             self._assert_trace_close(res.trace, trace)
-            assert [pv.path for pv in res.iterates] == [pv.path for pv in iterates]
+            assert [pv.path for pv in made] == [pv.path for pv in iterates]
             assert res.iterations == iterations
             assert res.stop_reason == reason
             assert res.degenerate == sum(pv.degenerate for pv in iterates)
@@ -596,15 +731,16 @@ class TestSupportRestrictedLoop:
 
         original = solvers._top_k_unit
         monkeypatch.setattr(solvers, "_top_k_unit", top_k)
-        for dag, sigma, cfg in self._cases():
+        cfg = PowerMethodConfig()
+        for dag, sigma, w in self._cases():
             kk = dag.dim if k == "p" else min(k, dag.dim)
 
             def step(w):
                 x = _top_k_lexsort(w, kk)
                 return x, frozenset(np.flatnonzero(x).tolist()), x
-            trace, iterates, iterations, reason = _dense_power(sigma, step, cfg)
+            trace, iterates, iterations, reason = _dense_power(sigma, step, w, cfg)
             seen.clear()
-            res = sparse_truncated_power(sigma, kk, cfg)
+            res = _solve_from(monkeypatch, lambda: sparse_truncated_power(sigma, kk), w)
             self._assert_trace_close(res.trace, trace)
             assert [np.flatnonzero(x).tolist() for x in seen] == \
                 [np.flatnonzero(x).tolist() for x in iterates]
@@ -630,7 +766,7 @@ class TestSupportRestrictedLoop:
         res = sparse_truncated_power(np.diag([3.0, 2.0, 1.0]), k=1)
         assert (res.iterations, res.stop_reason) == (1, "step")
 
-    def test_degenerate_count(self):
+    def test_degenerate_count(self, monkeypatch):
         dag = build_layer_graph(12, 2, 5)
         sigma = random_psd(12, np.random.default_rng(431))
         assert graph_truncated_power(sigma, dag).degenerate == 0
@@ -639,16 +775,17 @@ class TestSupportRestrictedLoop:
         assert (res.degenerate, res.iterations, res.stop_reason) == (2, 1, "step")
         assert res.path == enumerate_paths(dag, cap=25)[0]
         # a random start is not degenerate, its steps are
-        res = graph_truncated_power(np.zeros((12, 12)), dag,
-                                    PowerMethodConfig(init="random", seed=2),
-                                    record_iterates=True)
-        assert not res.iterates[0].degenerate
-        assert res.degenerate == len(res.iterates) - 1 >= 1
+        iterates = record_projections(monkeypatch)
+        one_start(monkeypatch, np.random.default_rng(2).standard_normal(12))
+        res = graph_truncated_power(np.zeros((12, 12)), dag)
+        assert not iterates[0].degenerate
+        assert res.degenerate == len(iterates) - 1 >= 1
         assert sparse_truncated_power(np.zeros((12, 12)), 3).degenerate == 0
 
     def test_keeps_only_the_best_iterate(self, monkeypatch):
-        # without record_iterates, at most one earlier projection is alive
-        # whenever the next one is made: memory stays flat in the iterations
+        # whenever a projection is made, at most the best iterate of the
+        # finished starts and the running start's own best are alive: memory
+        # stays flat in the iterations and the starts
         refs, alive = [], []
 
         def tracked(dag_, w):
@@ -658,29 +795,25 @@ class TestSupportRestrictedLoop:
             return pv
 
         original = solvers.project
-        monkeypatch.setattr(solvers, "project", tracked)
         dag = build_layer_graph(130, 8, 4)
         x_star, _ = random_path_vector(dag, seed=409)
         sigma = empirical_covariance(sample_spiked(
             SpikedModelParams(x_star=x_star, beta=2.0), 60, seed=419))
         # a tiny tol runs on into exact float ties and dips of the objective,
         # where the best iterate is not the latest one
-        for init in ("diag", "random"):
+        for restarts in (0, 3):
+            cfg = PowerMethodConfig(restarts=restarts, seed=3, tol=1e-300)
             refs.clear()
             alive.clear()
-            cfg = PowerMethodConfig(init=init, seed=3, tol=1e-300)
-            res = graph_truncated_power(sigma, dag, cfg)
-            assert res.iterations >= 5
-            assert res.iterates is None
-            assert len(alive) == res.iterations + 1
-            assert max(alive) <= 1
-        monkeypatch.undo()
-        full = graph_truncated_power(sigma, dag, cfg, record_iterates=True)
-        assert full.trace.index(max(full.trace)) < len(full.trace) - 1
-        assert full.trace == res.trace
-        assert full.path == res.path
-        assert full.x.tobytes() == res.x.tobytes()
-        assert len(full.iterates) == len(refs)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "project", tracked)
+                res = graph_truncated_power(sigma, dag, cfg)
+            assert len(alive) == res.iterations + 1 + restarts
+            assert max(alive) == (1 if restarts == 0 else 2)
+            untracked = graph_truncated_power(sigma, dag, cfg)
+            assert untracked.x.tobytes() == res.x.tobytes()
+            assert (untracked.trace, untracked.path) == (res.trace, res.path)
+            assert res.trace.index(max(res.trace)) < len(res.trace) - 1
 
 
 class TestTopK:
@@ -708,7 +841,7 @@ class TestPreparedCovariance:
         runs = [
             lambda s: graph_truncated_power(s, dag),
             lambda s: graph_truncated_power(
-                s, dag, PowerMethodConfig(init="random", seed=(4, 1))),
+                s, dag, PowerMethodConfig(restarts=2, seed=(4, 1))),
             lambda s: sample_and_project(s, dag, SampleProjectConfig(budget=20)),
             lambda s: brute_force_solve(s, dag, cap=25),
             lambda s: sparse_truncated_power(s, 3),

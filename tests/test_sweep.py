@@ -1,5 +1,6 @@
 """The experiment harness: seeded sweeps over (trial, n, solver) cells."""
 
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,10 +19,9 @@ from pathpca import (
     write_sweep_csv,
 )
 from pathpca import sweep
-from pathpca.solvers import EstimateResult, PowerMethodConfig
+from pathpca.solvers import EstimateResult
 from pathpca.sweep import (
     CSV_COLUMNS,
-    _best_of_starts,
     cell_seed,
     check_structured_output,
     nearest_divisor_layers,
@@ -66,6 +66,16 @@ class TestConfig:
                     {"cap": 0}):
             with pytest.raises(ValueError):
                 small_cfg(**bad)
+
+    @pytest.mark.parametrize("shape", [dict(p=13), dict(p=2, k=1, d=1),
+                                       dict(d=9), dict(k=0, d="full"),
+                                       dict(p=2, k="auto")])
+    def test_layer_shape_checked_when_built(self, shape):
+        # the shapes build_layer_graph rejects fail with the config, before
+        # any graph is built; a graph file needs no shape
+        with pytest.raises(ValueError):
+            small_cfg(**shape)
+        small_cfg(graph_file="g.txt", **shape)
 
     def test_nearest_divisor_layers(self):
         assert nearest_divisor_layers(66) == 4    # ln 66 = 4.19, 4 divides 64
@@ -153,18 +163,6 @@ class TestRunSweep:
             assert rb.objective >= ra.objective - 1e-12
             # each extra start adds at least one iteration to the total
             assert rb.iterations > ra.iterations
-
-    def test_best_start_keeps_its_diagnostics(self):
-        # the winning start's stop reason and degenerate count are reported,
-        # its iterations summed with the others'
-        starts = [EstimateResult(x=np.ones(1), path=None, objective=obj,
-                                 iterations=it, stop_reason=why, degenerate=deg)
-                  for obj, it, why, deg in [(1.0, 3, "stable", 0),
-                                            (2.0, 5, "max_iters", 4),
-                                            (2.0, 7, "step", 1)]]
-        best = _best_of_starts(lambda pc: starts.pop(0), PowerMethodConfig(), 2, (1,))
-        assert (best.objective, best.iterations) == (2.0, 15)
-        assert (best.stop_reason, best.degenerate) == ("max_iters", 4)
 
     def test_zero_restarts_rejected_below_zero(self):
         with pytest.raises(ValueError):
@@ -439,3 +437,10 @@ class TestConfigFiles:
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError):
             parse_sweep_config({"p": "14", "k": "3", "d": "2", "n": "40"})
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+        keys = [key for line in section.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+        assert sorted(keys) == sorted(sweep._SWEEP_KEYS)
