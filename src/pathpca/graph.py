@@ -136,6 +136,7 @@ class Dag:
         self._level_ok = None
         self._dp_plan = None
         self._reach_t = None
+        self._bound_path = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -232,6 +233,38 @@ class Dag:
         self._reach_t = mask
         self._reach_t.setflags(write=False)
         return mask
+
+    def _first_bound_path(self) -> Path:
+        """The lexicographically first S-T path that binds a variable, found
+        once: a projection's fallback when its weight vanishes on every path
+        and its tie-break path binds nothing. ValueError when no S-T path
+        binds a variable.
+
+        ``binds[v]`` says some path from v to the terminal binds a variable.
+        From the source, the walk takes the smallest out-neighbour that can
+        still complete such a path, and once the path binds a variable, the
+        smallest one that reaches the terminal.
+        """
+        if self._bound_path is None:
+            bound = self._binding != UNBOUND
+            reach = self._reach_terminal()
+            binds = bound & reach
+            for ed, offs, src in self._projection_plan():
+                binds[src] |= np.logical_or.reduceat(binds[ed], offs)
+            path = None
+            if binds[self._source]:
+                cur = self._source
+                verts, need = [cur], not bound[cur]
+                while cur != self._terminal:
+                    nb = self._indices[self._indptr[cur]:self._indptr[cur + 1]]
+                    cur = int(nb[np.argmax((binds if need else reach)[nb])])
+                    verts.append(cur)
+                    need = need and not bound[cur]
+                path = make_path(self, verts, check=False)
+            self._bound_path = (path,)
+        if self._bound_path[0] is None:
+            raise ValueError("no S-T path binds any variable")
+        return self._bound_path[0]
 
     def _projection_plan(self):
         """The one reverse-level traversal: a list of groups (targets, run

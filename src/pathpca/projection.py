@@ -103,13 +103,22 @@ def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return sup, (sup != pad).sum(axis=0)
 
 
-def _block_width(dag: Dag, budget: int) -> int:
-    """Columns per ``_paths`` call whose arrays fit ``budget`` bytes, but at
-    least 1: the weights (dim rows), the vertex weights and DP values (|V|
-    rows each) and the gather of the largest level group; the walk's
-    per-step temporaries are no larger than that gather."""
-    group = max((ed.size for ed, _, _ in dag._projection_plan()), default=0)
-    return max(1, budget // (8 * (dag.dim + 2 * dag.vertex_count + group)))
+def _block_width(dag: Dag, budget: int, rank: int) -> int:
+    """Sample-and-project candidates per chunk whose arrays fit ``budget``
+    bytes, but at least 1. Per column it counts 8 bytes for each of: the
+    direction draw and its normalized copy (``rank`` rows each); the weights
+    (dim rows); the vertex weights and DP values (|V| rows each); the gather
+    of the largest level group; and, with L the most vertices an S-T path can
+    have (one more than the number of level groups), the walk's vertex rows,
+    the sorted supports, the gathered weights and their squares (L rows
+    each) and the (L, rank) gather of factor rows. The walk's per-step
+    temporaries are no larger than the level-group gather; one-row arrays
+    (norms, scores) and boolean masks are left out."""
+    plan = dag._projection_plan()
+    group = max((ed.size for ed, _, _ in plan), default=0)
+    steps = len(plan) + 1
+    per_col = 2 * rank + dag.dim + 2 * dag.vertex_count + group + steps * (4 + rank)
+    return max(1, budget // (8 * per_col))
 
 
 def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,9 +153,11 @@ def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
 
     If w vanishes on every bound vertex of every path, the result is flagged
     degenerate: a uniform loading on the bound vertices of the tie-break path
-    (the lexicographically smallest one). ValueError if that path binds no
-    variables at all, since no unit vector exists there, and for a w that is
-    not finite or whose squares overflow.
+    (the lexicographically smallest one), or, when that path binds no
+    variable, of the lexicographically first S-T path that binds one
+    (``Dag._first_bound_path``). ValueError if no S-T path binds a variable,
+    since no unit vector exists then, and for a w that is not finite or whose
+    squares overflow.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (dag.dim,):
@@ -159,5 +170,7 @@ def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
     if not best[dag.source] < np.inf:  # +inf or nan: a square overflowed
         raise ValueError("input vector too large: its squares overflow")
     path = make_path(dag, _walk(dag, best), check=False)
+    if not path.support:  # w vanishes on every path; the tie-break binds nothing
+        path = dag._first_bound_path()
     x, degenerate = _unit_on(w, path.sorted_support())
     return ProjectedVector(x=x, path=path, degenerate=degenerate)

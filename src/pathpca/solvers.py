@@ -9,8 +9,11 @@ Two heuristics and one exact reference:
   projects each, and keeps the candidate with the largest ||V^T x||^2. With
   enough samples this approximates the best rank-r answer, but note it is a
   poor fit for spiked covariances at scale, where the useful rank grows with
-  the dimension. The candidates are projected in chunks, one block DP and
-  walk per chunk; each chunk's arrays fit the budget ``_BLOCK_BYTES``.
+  the dimension. All directions come from one stream keyed by the seed, the
+  columns of one (budget, rank) draw. The candidates run as block
+  arithmetic in chunks: one block DP and walk per chunk, then each column's
+  weights gathered on its path support and scored there; each chunk's
+  arrays fit the budget ``_BLOCK_BYTES``.
 - ``brute_force_solve``: per-path leading eigenvalues over an enumeration of
   all S-T paths; exact up to the eigensolver, for small path counts. The
   paths are rows of one int array; their principal submatrices, grouped by
@@ -43,10 +46,10 @@ from .graph import Dag, GraphStructureError, Path, _path_array, make_path
 from .projection import (_block_width, _paths, _sorted_supports, _unit_on,
                          project)
 
-# Byte budget of the arrays sample_and_project projects each chunk of its
-# candidates in (see projection._block_width), and of each stacked eigh of
-# brute_force_solve (see _top_eigenvalues): it sets how many candidates share
-# one DP pass and how many submatrices one eigh call.
+# Byte budget of the arrays sample_and_project draws, projects and scores
+# each chunk of its candidates in (see projection._block_width), and of each
+# stacked eigh of brute_force_solve (see _top_eigenvalues): it sets how many
+# candidates share one DP pass and how many submatrices one eigh call.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -210,57 +213,116 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
     return replace(res, path=best.path)
 
 
-def _direction(key: tuple[int, ...], i: int, rank: int) -> np.ndarray:
-    # Uniform on the unit sphere of R^rank from the stream keyed (*key, i),
-    # signed so that the first nonzero coordinate is positive.
-    g = np.random.default_rng(key + (i,)).standard_normal(rank)
-    nrm = np.linalg.norm(g)
-    if nrm == 0.0:
-        g[0] = 1.0
-        nrm = 1.0
-    c = g / nrm
-    nz = np.flatnonzero(c)
-    return -c if c[nz[0]] < 0 else c
+def _directions(rng: np.random.Generator, count: int, rank: int) -> np.ndarray:
+    """The next ``count`` directions of ``rng``, as the columns of a (rank,
+    count) array: standard normal rows of a (count, rank) draw, each scaled
+    to unit length (a zero draw becomes e_1) and signed so that its first
+    nonzero entry is positive. The arithmetic is elementwise over columns, so
+    a direction's bits depend on neither ``count`` nor the draws around it."""
+    c = rng.standard_normal((count, rank)).T
+    sq = c[0] * c[0]
+    for row in c[1:]:
+        sq += row * row
+    nrm = np.sqrt(sq)
+    zero = nrm == 0.0
+    c[0, zero], nrm[zero] = 1.0, 1.0
+    c = c / nrm
+    flip = c[np.argmax(c != 0.0, axis=0), np.arange(count)] < 0.0
+    c[:, flip] = -c[:, flip]
+    return c
+
+
+def _support_scores(v: np.ndarray, w: np.ndarray, sup: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """||V^T x||^2 of each column's candidate: x is column j of w gathered on
+    its support ``sup[:counts[j], j]`` (ascending, counts >= 1) and
+    normalized, or the uniform loading there where the gather vanishes, as
+    ``_unit_on`` builds it. V^T x is summed over the support rows of v, a
+    (k, B, rank) gather; every sum runs in order down a column (an in-place
+    ``add.accumulate``, never ``sum``, whose order changes when B = 1) and
+    the rest is elementwise, so a column's score does not depend on the
+    others. Overwrites the padding rows of ``sup``."""
+    k = int(counts.max())
+    on = np.arange(k)[:, None] < counts
+    rows = sup[:k]
+    rows[~on] = 0
+    x = w[rows, np.arange(w.shape[1])]
+    x[~on] = 0.0
+    sq = x * x
+    np.add.accumulate(sq, axis=0, out=sq)
+    nrm = np.sqrt(sq[-1])
+    deg = nrm == 0.0
+    nrm[deg] = 1.0
+    x /= nrm
+    x[:, deg] = on[:, deg] / np.sqrt(counts[deg])
+    t = v[rows]
+    t *= x[:, :, None]
+    np.add.accumulate(t, axis=0, out=t)
+    t = t[-1]
+    ro = t[:, 0] * t[:, 0]
+    for i in range(1, v.shape[1]):
+        ro += t[:, i] * t[:, i]
+    return ro
 
 
 def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                        config: SampleProjectConfig) -> EstimateResult:
     """Rank-r sample-and-project: project random top-eigenspace directions.
 
-    Draws ``budget`` directions c_i uniformly on the unit sphere of R^rank
-    (stream keyed (seed, i); the sign is canonicalized so the first nonzero
-    coordinate is positive, which changes nothing since x and -x score the
-    same), forms w_i = V c_i from the rank-r factor of sigma, projects, and
-    returns the candidate maximizing ||V^T x||^2, first index winning ties.
-    With rank=1 every candidate equals project(dag, v_1), so the budget is
-    irrelevant. The trace records each candidate's ||V^T x||^2.
+    Draws ``budget`` directions c_i uniformly on the unit sphere of R^rank,
+    all from one stream keyed by the seed: column i of
+    ``default_rng(seed).standard_normal((budget, rank)).T``, normalized and
+    signed by ``_directions`` (x and -x score the same), so a budget's
+    directions are the first ones of any larger budget. Forms w_i = V c_i
+    from the rank-r factor of sigma, projects, and returns the candidate
+    maximizing ||V^T x||^2, first index winning ties. With rank=1 every
+    candidate equals project(dag, v_1), so the budget is irrelevant. The
+    trace records each candidate's ||V^T x||^2.
 
-    The candidates are projected in chunks of columns, each chunk through one
-    block DP and walk (bit-identical to ``project`` on each w_i); each
-    chunk's arrays fit the budget ``_BLOCK_BYTES`` unless a single column
-    alone exceeds it. A Path is built for the winner only.
+    The candidates run in chunks whose arrays fit ``_BLOCK_BYTES`` unless a
+    single column alone exceeds it (``_block_width``): w as a sum of
+    elementwise products, one block DP and walk (``_paths``), then the
+    scores on each path support (``_support_scores``). No matrix product
+    spans the columns, so a candidate's bits do not depend on the chunking.
+    The winner's x (rebuilt by ``_unit_on``) and path are those of
+    ``project(dag, w_i)`` bit for bit, and only it becomes a ``Path``; the
+    scores may differ from ``np.sum((V.T @ x) ** 2)`` in the last bits.
     """
     cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
-    key = seed_key(config.seed)
-    cols = _block_width(dag, _BLOCK_BYTES)
+    rng = np.random.default_rng(seed_key(config.seed))
+    cols = _block_width(dag, _BLOCK_BYTES, config.rank)
 
-    best_x, best_ro, best_verts = None, -np.inf, None
+    best_ro, best = -np.inf, None
     trace: list[float] = []
     for start in range(0, config.budget, cols):
-        w = np.empty((dag.dim, min(cols, config.budget - start)))
-        for j in range(w.shape[1]):
-            w[:, j] = v @ _direction(key, start + j, config.rank)
+        b = min(cols, config.budget - start)
+        c = _directions(rng, b, config.rank)
+        w = v[:, :1] * c[0]
+        for i in range(1, config.rank):
+            w += v[:, i:i + 1] * c[i]
         verts, sup, counts = _paths(dag, w)
-        for j in range(w.shape[1]):
-            x, _ = _unit_on(w[:, j], sup[:counts[j], j])
-            ro = float(np.sum((v.T @ x) ** 2))
-            trace.append(ro)
-            if best_x is None or ro > best_ro:
-                best_x, best_ro, best_verts = x, ro, verts[:, j]
-    path = make_path(dag, best_verts[best_verts >= 0], check=False)
-    return EstimateResult(x=best_x, path=path,
-                          objective=float(best_x @ cov.matrix @ best_x),
+        bare = counts == 0  # w vanishes on every path, whose tie-break binds nothing
+        if bare.any():
+            fallback = dag._first_bound_path().sorted_support()
+            if fallback.size > sup.shape[0]:
+                sup = np.pad(sup, ((0, fallback.size - sup.shape[0]), (0, 0)),
+                             constant_values=np.iinfo(np.int64).max)
+            sup[:fallback.size, bare] = fallback[:, None]
+            counts[bare] = fallback.size
+        ro = _support_scores(v, w, sup, counts)
+        trace.extend(ro.tolist())
+        j = int(np.argmax(ro))  # the first maximum: ties go to the first index
+        if ro[j] > best_ro:
+            best_ro = float(ro[j])
+            best = (w[:, j].copy(), sup[:counts[j], j].copy(),
+                    None if bare[j] else verts[:, j].copy())
+    w, sup, verts = best
+    x, _ = _unit_on(w, sup)
+    path = (dag._first_bound_path() if verts is None
+            else make_path(dag, verts[verts >= 0], check=False))
+    return EstimateResult(x=x, path=path,
+                          objective=float(x @ cov.matrix @ x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
 

@@ -9,7 +9,8 @@ so reruns of the same config write byte-identical CSVs.
 Seed mixing: the cell seed for (trial, n_index) is
 ``SeedSequence((master, trial, n_index)).generate_state(1, uint64)[0]``;
 the planted vector uses stream (cell_seed, 0), the sampler (cell_seed, 1),
-sample-and-project (cell_seed, 2), and the power methods the seed
+sample-and-project the one stream (cell_seed, 2) for its whole (budget,
+rank) draw of directions, and the power methods the seed
 (cell_seed, 3) for ``power`` and (cell_seed, 4) for ``sparse-power``: their
 random start j draws from the stream (*seed, j, 0) (see ``PowerMethodConfig``).
 
@@ -295,7 +296,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
         "master_seed": cfg.seed,
         "seed_mixing": "cell=(SeedSequence((master,trial,n_index)).generate_state(1,"
                        "uint64)[0]); streams: x_star=(cell,0), samples=(cell,1), "
-                       "sample-solver=(cell,2), power-restarts=(cell,3,j), "
+                       "sample-solver=(cell,2) one stream for the whole (budget,rank) draw, "
+                       "power-restarts=(cell,3,j), "
                        "sparse-restarts=(cell,4,j)",
         "total_wall_time_s": time.perf_counter() - t0,
         "row_wall_time_s": [r.wall_time for r in records],

@@ -281,6 +281,27 @@ class TestEnumeration:
             assert paths == sorted(paths)
             assert len(set(paths)) == len(paths)
 
+    def test_first_bound_path_is_the_first_enumerated_with_a_variable(self):
+        rng = np.random.default_rng(101)
+        sparse = 0
+        for _ in range(40):
+            d = random_dag(rng, max_interior=12, max_paths=500)
+            # bind only a few vertices, so the first paths often bind nothing
+            keep = rng.random(d.vertex_count) < 0.3
+            bind = np.where(keep, d.binding, -1)
+            d = Dag(d.vertex_count, d.edges(), d.source, d.terminal, binding=bind,
+                    dim=d.dim)
+            paths = enumerate_paths(d, cap=500)
+            binding = [p for p in paths if p.support]
+            if not binding:
+                with pytest.raises(ValueError, match="no S-T path binds any variable"):
+                    d._first_bound_path()
+                continue
+            sparse += not paths[0].support
+            assert d._first_bound_path() == binding[0]
+            assert d._first_bound_path() is d._first_bound_path()  # found once
+        assert sparse >= 3  # the first path bound nothing that often
+
     def test_paths_are_valid(self):
         rng = np.random.default_rng(100)
         d = random_dag(rng, max_interior=12, max_paths=200)

@@ -151,13 +151,22 @@ class TestProject:
         assert pv.x.tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_degenerate_tiebreak_path_without_variables(self):
-        # only vertex 2 bound; tie-break path (0,1,3) has no bound vertex
+        # only vertex 2 bound; tie-break path (0,1,3) has no bound vertex, so
+        # a zero weight falls back to the first path that binds one
         d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 0})
-        with pytest.raises(ValueError):
-            project(d, np.zeros(1))
-        pv = project(d, np.array([0.5]))
+        pv = project(d, np.zeros(1))
+        assert pv.degenerate
         assert pv.path.vertices == (0, 2, 3)
         assert pv.x.tolist() == [1.0]
+        pv = project(d, np.array([0.5]))
+        assert not pv.degenerate
+        assert pv.path.vertices == (0, 2, 3)
+        assert pv.x.tolist() == [1.0]
+
+    def test_degenerate_without_any_binding_path_raises(self):
+        d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={}, dim=1)
+        with pytest.raises(ValueError, match="no S-T path binds any variable"):
+            project(d, np.zeros(1))
 
     def test_rejects_bad_input(self):
         d = diamond()
@@ -225,6 +234,10 @@ class TestBlockProjection:
                     assert counts[j] == 0
                     with pytest.raises(ValueError, match="binds no variables"):
                         _unit_on(w[:, j], sup[:counts[j], j])
+                    continue
+                if counts[j] == 0:  # the fallback to the first binding path
+                    assert pv.degenerate
+                    assert pv.path == d._first_bound_path()
                     continue
                 col = verts[:, j]
                 assert tuple(col[col >= 0].tolist()) == pv.path.vertices

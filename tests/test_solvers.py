@@ -1,6 +1,7 @@
 """Estimation algorithms: truncated power, sample-and-project, brute force,
 and the unstructured sparse baseline."""
 
+import math
 import weakref
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from pathpca import (
 )
 from pathpca import solvers
 from pathpca.data import seed_key
+from pathpca.projection import _block_width
 
 from helpers import (assert_feasible, count_factorizations, one_start,
                      oracle_best_rayleigh, random_dag, random_psd,
@@ -155,6 +157,15 @@ class TestGraphTruncatedPower:
                 assert_feasible(dag, pv.x, pv.path)
             assert res.objective >= -1e-12
             assert res.objective <= brute_force_solve(sigma, dag, cap=400).objective + 1e-9
+
+    def test_zero_weight_falls_back_to_a_binding_path(self):
+        # the tie-break path (0, 1, 3) binds nothing: every iterate takes the
+        # first path that binds a variable, (0, 2, 3)
+        d = Dag(4, [(0, 1), (1, 3), (0, 2), (2, 3)], 0, 3, binding={2: 0})
+        res = graph_truncated_power(np.zeros((1, 1)), d)
+        assert res.path.vertices == (0, 2, 3)
+        assert res.x.tolist() == [1.0]
+        assert res.degenerate >= 1
 
     def test_rejects_bad_input(self):
         dag = diamond()
@@ -885,34 +896,58 @@ class TestDecompositionCounts:
 
 def _reference_sample(sigma, dag, cfg):
     """sample_and_project written as a loop of project() calls, one candidate
-    at a time: the definition the block implementation must reproduce."""
+    at a time: the definition the block implementation must reproduce.
+
+    The directions are the rows of one (budget, rank) standard normal draw,
+    each normalized and signed in scalar arithmetic, and w = sum_i v_i c_i is
+    summed term by term in the block's order. A candidate is scored as the
+    block scores it, with sums taken in order down its support: mathematical
+    ties (a rank-deficient factor makes many) are broken by rounding, so only
+    the same arithmetic picks the same winner. Returns the winner's
+    projection, objective and score, the scores, and the scores as
+    ``np.sum((V.T @ x) ** 2)``."""
     cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, cfg.rank)
-    key = seed_key(cfg.seed)
-    best, best_ro, trace = None, -np.inf, []
-    for i in range(cfg.budget):
-        g = np.random.default_rng(key + (i,)).standard_normal(cfg.rank)
-        nrm = np.linalg.norm(g)
-        if nrm == 0.0:
-            g[0], nrm = 1.0, 1.0
-        c = g / nrm
-        if c[np.flatnonzero(c)[0]] < 0:
-            c = -c
-        pv = project(dag, v @ c)
-        ro = float(np.sum((v.T @ pv.x) ** 2))
-        trace.append(ro)
+    draws = np.random.default_rng(seed_key(cfg.seed)).standard_normal(
+        (cfg.budget, cfg.rank))
+    best, best_ro, trace, dense = None, -np.inf, [], []
+    for g in draws.tolist():
+        sq = g[0] * g[0]
+        for gi in g[1:]:
+            sq += gi * gi
+        nrm = math.sqrt(sq)
+        c = [gi / nrm for gi in g] if nrm else [1.0] + [0.0] * (cfg.rank - 1)
+        if next(ci for ci in c if ci != 0.0) < 0.0:
+            c = [-ci for ci in c]
+        w = v[:, 0] * c[0]
+        for i in range(1, cfg.rank):
+            w = w + v[:, i] * c[i]
+        pv = project(dag, w)
+        sup = pv.path.sorted_support()
+        x = w[sup]
+        nrm = np.sqrt(np.cumsum(x * x)[-1])
+        x = x / nrm if nrm else np.full(sup.size, 1.0 / np.sqrt(sup.size))
+        t = np.cumsum(v[sup] * x[:, None], axis=0)[-1]
+        ro = t[0] * t[0]
+        for ti in t[1:]:
+            ro += ti * ti
+        trace.append(float(ro))
+        dense.append(float(np.sum((v.T @ pv.x) ** 2)))
         if best is None or ro > best_ro:
-            best, best_ro = pv, ro
-    return best, float(best.x @ cov.matrix @ best.x), best_ro, trace
+            best, best_ro = pv, float(ro)
+    return best, float(best.x @ cov.matrix @ best.x), best_ro, trace, dense
 
 
 def _assert_same_as_reference(res, ref):
-    pv, objective, rank_objective, trace = ref
+    # everything bit for bit; the scores also agree to 1e-12 with the matrix
+    # product, which sums in another order
+    pv, objective, rank_objective, trace, dense = ref
     assert res.x.tobytes() == pv.x.tobytes()
     assert res.path == pv.path
     assert res.objective == objective
     assert res.rank_objective == rank_objective
     assert res.trace == trace
+    np.testing.assert_allclose(res.trace, dense, rtol=1e-12, atol=1e-12)
 
 
 def _rank_deficient(dag, rng, n=None):
@@ -958,10 +993,53 @@ class TestSampleAndProjectBlock:
         assert res.trace == [0.0] * 30
         assert res.path == enumerate_paths(dag, cap=25)[0]
 
-    def test_tie_break_path_without_variables_raises(self):
+    def test_tie_break_path_without_variables_falls_back(self):
+        # only vertex 2 bound: a zero weight's tie-break path (0, 1, 3) binds
+        # nothing, so every candidate takes the first path that binds a
+        # variable, (0, 2, 3), as project does
         d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 0})
-        with pytest.raises(ValueError, match="binds no variables"):
-            sample_and_project(np.zeros((1, 1)), d, SampleProjectConfig(rank=1, budget=3))
+        cfg = SampleProjectConfig(rank=1, budget=3)
+        res = sample_and_project(np.zeros((1, 1)), d, cfg)
+        _assert_same_as_reference(res, _reference_sample(np.zeros((1, 1)), d, cfg))
+        assert res.path.vertices == (0, 2, 3)
+        assert res.x.tolist() == [1.0]
+        assert res.trace == [0.0] * 3
+
+    def test_fallback_support_longer_than_the_walk(self):
+        # a zero weight's tie-break path (0, 1, 7) binds nothing; the first
+        # path that binds a variable, (0, 2, 3, 4, 5, 7), binds four, more
+        # than the three rows of the chunk's walk
+        d = Dag(8, [(0, 1), (1, 7), (0, 2), (2, 3), (3, 4), (4, 5), (5, 7),
+                    (0, 6), (6, 7)], 0, 7, binding={2: 0, 3: 1, 4: 2, 5: 3, 6: 4})
+        cfg = SampleProjectConfig(rank=2, budget=12, seed=3)
+        zero = np.zeros((5, 5))
+        res = sample_and_project(zero, d, cfg)
+        _assert_same_as_reference(res, _reference_sample(zero, d, cfg))
+        assert res.path.vertices == (0, 2, 3, 4, 5, 7)
+        assert res.x.tolist() == [0.5] * 4 + [0.0]
+        # a weight on variable 4 alone takes the path through vertex 6
+        sigma = np.diag([0.0, 0.0, 0.0, 0.0, 1.0])
+        res = sample_and_project(sigma, d, cfg)
+        _assert_same_as_reference(res, _reference_sample(sigma, d, cfg))
+        assert res.path.vertices == (0, 6, 7)
+
+    def test_ties_across_chunks_go_to_the_first_index(self, monkeypatch):
+        # each path binds one variable of an identity covariance, so every
+        # candidate is +-e_j and scores exactly 1; two candidates per chunk
+        d = Dag(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], 0, 4,
+                binding={1: 0, 2: 1, 3: 2})
+        cfg = SampleProjectConfig(rank=3, budget=9, seed=11)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 2 * 8 * 43)  # 43 floats a column
+        assert _block_width(d, solvers._BLOCK_BYTES, 3) == 2
+        res = sample_and_project(np.eye(3), d, cfg)
+        assert res.trace == [1.0] * 9
+        v = low_rank_factor(np.eye(3), 3)
+        c = solvers._directions(np.random.default_rng(seed_key(cfg.seed)), 9, 3)
+        xs = [project(d, v[:, 0] * c[0, i] + v[:, 1] * c[1, i] + v[:, 2] * c[2, i]).x
+              for i in range(9)]
+        # the first candidate of every later chunk is another vector
+        assert all(xs[i].tolist() != xs[0].tolist() for i in (2, 4, 6, 8))
+        assert res.x.tolist() == xs[0].tolist()
 
     @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
     def test_independent_of_chunking(self, monkeypatch, block_bytes):
@@ -975,29 +1053,104 @@ class TestSampleAndProjectBlock:
             assert got.path == want.path
             assert got.trace == want.trace
 
+    def test_long_supports_independent_of_chunking(self, monkeypatch):
+        # 32 variables a path: numpy sums 8 or more terms of a lone column
+        # pairwise, so only sums taken in order keep a one-column chunk's
+        # scores equal to a wide chunk's
+        dag = build_layer_graph(66, 32, 2)
+        sigma = random_psd(66, np.random.default_rng(317))
+        cases = [SampleProjectConfig(rank=rank, budget=40, seed=rank) for rank in (1, 2, 9)]
+        expect = [sample_and_project(sigma, dag, cfg) for cfg in cases]
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
+        for cfg, want in zip(cases, expect):
+            got = sample_and_project(sigma, dag, cfg)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.trace == want.trace
+
     @pytest.mark.parametrize("block_bytes", [40_000, 100_000, solvers._BLOCK_BYTES])
     def test_block_arrays_stay_within_budget(self, monkeypatch, block_bytes):
-        # every chunk's arrays fit the budget: its weights (dim rows), vertex
-        # weights and DP values (|V| rows each) and the gather of the largest
-        # level group, 8 bytes per entry and column
-        widths = []
+        # every chunk's arrays fit the budget, 8 bytes per entry and column:
+        # the direction draw and its normalized copy (rank rows each), the
+        # weights (dim rows), vertex weights and DP values (|V| rows each),
+        # the gather of the largest level group, and for each of L rows (L
+        # bounding the walk's rows) the vertex rows, the sorted supports, the
+        # gathered weights, their squares and the rank factor rows
+        widths, walks = [], []
 
         def paths(dag_, w):
             assert w.shape[0] == dag_.dim
             widths.append(w.shape[1])
-            return original_paths(dag_, w)
+            out = original_paths(dag_, w)
+            walks.append(out[0].shape[0])
+            return out
 
         original_paths = solvers._paths
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(solvers, "_paths", paths)
         dag = build_layer_graph(130, 8, 4)
-        group = max(ed.size for ed, _, _ in dag._projection_plan())
+        plan = dag._projection_plan()
+        group = max(ed.size for ed, _, _ in plan)
+        steps = len(plan) + 1
         sigma = random_psd(130, np.random.default_rng(313))
         cfg = SampleProjectConfig(rank=2, budget=500, seed=1)
         res = sample_and_project(sigma, dag, cfg)
         assert sum(widths) == cfg.budget
+        assert max(walks) <= steps
+        per_col = (2 * cfg.rank + dag.dim + 2 * dag.vertex_count + group
+                   + steps * (4 + cfg.rank))
         for b in widths:
-            assert 8 * b * (dag.dim + 2 * dag.vertex_count + group) <= block_bytes
+            assert 8 * b * per_col <= block_bytes
         assert max(widths) > 1  # it did batch
         monkeypatch.undo()
         assert res.trace == sample_and_project(sigma, dag, cfg).trace
+
+
+class TestDirections:
+    """The sampler's directions: uniform on the unit sphere up to the sign
+    rule, one stream for the whole (budget, rank) draw."""
+
+    def test_one_stream_for_the_whole_draw(self):
+        key = seed_key((5, 2))
+        whole = solvers._directions(np.random.default_rng(key), 1000, 3)
+        rng = np.random.default_rng(key)
+        parts = [solvers._directions(rng, b, 3) for b in (1, 7, 300, 692)]
+        assert whole.tobytes() == np.hstack(parts).tobytes()
+        g = np.random.default_rng(key).standard_normal((1000, 3)).T
+        np.testing.assert_allclose(np.abs(whole), np.abs(g) / np.linalg.norm(g, axis=0),
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5])
+    def test_unit_norm_and_positive_first_nonzero(self, rank):
+        c = solvers._directions(np.random.default_rng(17), 5000, rank)
+        assert c.shape == (rank, 5000)
+        np.testing.assert_allclose(np.linalg.norm(c, axis=0), 1.0, rtol=1e-15)
+        assert (c[np.argmax(c != 0.0, axis=0), np.arange(5000)] > 0).all()
+
+    def test_zero_draw_becomes_e1(self):
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        assert solvers._directions(Zeros(), 2, 3).T.tolist() == [[1.0, 0.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_moments_match_the_sphere(self, rank):
+        # uniform on the sphere: E[c c^T] = I / rank, which the sign rule
+        # keeps; the coordinates after the first keep mean 0, and the first
+        # becomes |c_0|, of mean Gamma(r/2) / (sqrt(pi) Gamma((r+1)/2))
+        n = 200_000
+        c = solvers._directions(np.random.default_rng(23), n, rank)
+        np.testing.assert_allclose(c @ c.T / n, np.eye(rank) / rank, atol=5e-3)
+        assert np.abs(c[1:].mean(axis=1)).max() < 5e-3
+        first = math.gamma(rank / 2) / (math.sqrt(math.pi) * math.gamma((rank + 1) / 2))
+        assert c[0].mean() == pytest.approx(first, abs=5e-3)
+
+    def test_rank_two_angle_is_uniform(self):
+        # chi-square on the angle of c in (-pi/2, pi/2], 36 equal bins
+        n, bins = 100_000, 36
+        c = solvers._directions(np.random.default_rng(29), n, 2)
+        angle = np.arctan2(c[1], c[0])
+        assert (np.abs(angle) <= np.pi / 2).all()
+        counts = np.histogram(angle, bins=bins, range=(-np.pi / 2, np.pi / 2))[0]
+        chi2 = float(((counts - n / bins) ** 2 / (n / bins)).sum())
+        assert chi2 < 66.6  # the 0.999 quantile of chi-square with 35 df
