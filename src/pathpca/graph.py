@@ -7,10 +7,13 @@ every path computation. All path operations work on S-T paths: vertex
 sequences from ``source`` to ``terminal`` following edges.
 
 Edges are stored once, as a sorted out-adjacency in CSR form (``_indptr``
-row starts, ``_indices`` neighbours). Every reverse pass over the graph
+row starts, ``_indices`` neighbours), built from one sort of the int64 edge
+keys ``source * vertex_count + target``. Every reverse pass over the graph
 (the longest-path DP of the projection, reachability of the terminal, exact
 path counts) runs over one plan, ``Dag._projection_plan``, so they agree on
-what an S-T path is.
+what an S-T path is. The plan's groups are the Kahn waves of the CSR store,
+deepest first: wave t holds the vertices at longest distance t from the
+in-degree-0 vertices, so every edge leaves a group for a later one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 UNBOUND = -1
+# The most vertices whose edge keys source * n + target fit in int64.
+_MAX_VERTICES = 3_037_000_499
 
 
 class GraphStructureError(ValueError):
@@ -79,8 +84,8 @@ class Dag:
 
     def __init__(self, vertex_count, edges, source, terminal, binding=None, dim=None):
         n = int(vertex_count)
-        if n <= 0:
-            raise ValueError("vertex_count must be positive")
+        if not (0 < n <= _MAX_VERTICES):
+            raise ValueError(f"vertex_count must be in 1..{_MAX_VERTICES}")
         e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                        dtype=np.int64)
         if e.size == 0:
@@ -91,9 +96,13 @@ class Dag:
             raise ValueError("edge endpoint out of range")
         if not (0 <= source < n) or not (0 <= terminal < n):
             raise ValueError("source/terminal out of range")
-        if e.size:  # sort lexicographically, drop repeats
-            e = e[np.lexsort((e[:, 1], e[:, 0]))]
-            e = e[np.r_[True, (e[1:] != e[:-1]).any(axis=1)]]
+        # One key per edge; sorted keys are the edges in (source, target)
+        # order, and a key equal to its left neighbour is a repeat.
+        key = e[:, 0] * n
+        key += e[:, 1]
+        del e
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
 
         if binding is None:
             bind = np.arange(n, dtype=np.int64)
@@ -124,16 +133,14 @@ class Dag:
         self._binding = bind
         # The one edge store: out-adjacency in CSR form, neighbors ascending.
         self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(e[:, 0], minlength=n), out=self._indptr[1:])
-        self._indices = e[:, 1].copy()
+        np.cumsum(np.bincount(key // n, minlength=n), out=self._indptr[1:])
+        self._indices = key % n
 
         self._bound_vertices = np.flatnonzero(bind != UNBOUND)
         self._bound_vars = bind[self._bound_vertices]
         for arr in (self._binding, self._indptr, self._indices,
                     self._bound_vertices, self._bound_vars):
             arr.setflags(write=False)
-        self._levels = None
-        self._level_ok = None
         self._dp_plan = None
         self._reach_t = None
         self._bound_path = None
@@ -164,13 +171,10 @@ class Dag:
     def binding(self) -> np.ndarray:
         return self._binding
 
-    def _sources(self) -> np.ndarray:
-        """Source vertex of each stored edge, in storage order."""
-        return np.repeat(np.arange(self._n), np.diff(self._indptr))
-
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array, sorted lexicographically."""
-        return np.column_stack((self._sources(), self._indices))
+        return np.column_stack((np.repeat(np.arange(self._n), np.diff(self._indptr)),
+                                self._indices))
 
     def out_neighbors(self, v: int) -> np.ndarray:
         return self._indices[self._indptr[v]:self._indptr[v + 1]]
@@ -196,31 +200,6 @@ class Dag:
                 f"source={self._source}, terminal={self._terminal}, dim={self._dim})")
 
     # -- cached structure ---------------------------------------------------
-
-    def _level_info(self):
-        """Longest edge-count distance from in-degree-0 vertices, by Kahn waves.
-
-        Returns (levels, acyclic). Levels of vertices on or behind a cycle are
-        not meaningful when acyclic is False.
-        """
-        if self._levels is not None:
-            return self._levels, self._level_ok
-        n = self._n
-        indeg = np.bincount(self._indices, minlength=n)
-        level = np.zeros(n, dtype=np.int64)
-        frontier = np.flatnonzero(indeg == 0)
-        seen = int(frontier.size)
-        while frontier.size:
-            counts, _, dsts = _csr_gather(self._indptr, self._indices, frontier)
-            np.maximum.at(level, dsts, np.repeat(level[frontier] + 1, counts))
-            indeg -= np.bincount(dsts, minlength=n)
-            touched = np.unique(dsts)
-            frontier = touched[indeg[touched] == 0]
-            seen += int(frontier.size)
-        self._levels = level
-        self._level_ok = seen == n
-        self._levels.setflags(write=False)
-        return self._levels, self._level_ok
 
     def _reach_terminal(self) -> np.ndarray:
         """Boolean mask of vertices from which the terminal is reachable."""
@@ -268,40 +247,48 @@ class Dag:
 
     def _projection_plan(self):
         """The one reverse-level traversal: a list of groups (targets, run
-        offsets, run sources), one group per source level, descending.
+        offsets, run sources), one group per Kahn wave with out-edges,
+        deepest first.
 
-        Within a group the edges stay in (source, target) order, one run per
-        source, so a ``reduceat`` over the targets' values at the offsets
-        reduces each source's out-neighbors. Processing the groups in order
-        makes every edge target final before its source is reduced. This
-        drives the longest-path DP of the projection, reachability of the
-        terminal and the exact path counts. Edges leaving the terminal are
-        left out: no S-T path uses them, and the terminal's value is fixed.
+        Wave 0 is the in-degree-0 vertices; wave t+1 is the vertices whose
+        last in-edges leave wave t, which is exactly the vertices at longest
+        edge-count distance t+1 from wave 0, in ascending order. So every
+        edge runs from a wave to a later one, and processing the groups in
+        order makes every edge target final before its source is reduced.
+        A group holds its wave's out-edges in (source, target) order, one
+        run per source, so a ``reduceat`` over the targets' values at the
+        offsets reduces each source's out-neighbors. This drives the
+        longest-path DP of the projection, reachability of the terminal and
+        the exact path counts. Edges leaving the terminal are left out: no
+        S-T path uses them, and the terminal's value is fixed. A cycle
+        leaves vertices in no wave: GraphStructureError.
+
+        A wave step sorts only the targets of the wave's out-edges, so the
+        pass costs O(|E| log |E|) however many waves there are.
         """
         if self._dp_plan is not None:
             return self._dp_plan
-        levels, ok = self._level_info()
-        if not ok:
+        indptr, indices, n = self._indptr, self._indices, self._n
+        has_out = indptr[1:] > indptr[:-1]
+        indeg = np.bincount(indices, minlength=n)
+        wave = np.flatnonzero(indeg == 0)
+        seen, plan = 0, []
+        while wave.size:
+            seen += wave.size
+            src = wave[has_out[wave] & (wave != self._terminal)]
+            if src.size:
+                _, offs, ed = _csr_gather(indptr, indices, src)
+                plan.append((ed, offs, src))
+            # each target of the wave's out-edges, ascending, loses one
+            # in-degree per edge; those left with none form the next wave
+            dsts = np.sort(_csr_gather(indptr, indices, wave)[2])
+            runs = np.flatnonzero(np.diff(dsts, prepend=-1))
+            indeg[dsts[runs]] -= np.diff(runs, append=dsts.size)
+            dsts = dsts[runs]
+            wave = dsts[indeg[dsts] == 0]
+        if seen < n:
             raise GraphStructureError("graph contains a cycle")
-        es = self._sources()
-        keep = es != self._terminal
-        es, ed = es[keep], self._indices[keep]
-        if es.size == 0:
-            self._dp_plan = []
-            return self._dp_plan
-        lv = levels[es]
-        # A stable sort keeps the stored (source, target) order in each level.
-        order = np.argsort(-lv, kind="stable")
-        es, ed, lvs = es[order], ed[order], lv[order]
-        run_starts = np.flatnonzero(np.r_[True, es[1:] != es[:-1]])
-        chunk_starts = np.flatnonzero(np.r_[True, lvs[1:] != lvs[:-1]])
-        chunk_bounds = np.r_[chunk_starts, es.size]
-        run_src = es[run_starts]
-        plan = []
-        for a, b in zip(chunk_bounds[:-1], chunk_bounds[1:]):
-            lo = np.searchsorted(run_starts, a)
-            hi = np.searchsorted(run_starts, b)
-            plan.append((ed[a:b], run_starts[lo:hi] - a, run_src[lo:hi]))
+        plan.reverse()
         self._dp_plan = plan
         return plan
 
@@ -318,15 +305,15 @@ def validate(dag: Dag) -> ValidationReport:
         violations.append("source has incoming edges")
     if dag.out_neighbors(dag.terminal).size > 0:
         violations.append("terminal has outgoing edges")
-    _, acyclic = dag._level_info()
-    if not acyclic:
+    try:
+        if not dag._reach_terminal()[dag.source]:
+            violations.append("no path from source to terminal")
+    except GraphStructureError:
         violations.append("graph contains a cycle")
-    elif not dag._reach_terminal()[dag.source]:
-        violations.append("no path from source to terminal")
-    bound = dag.binding[dag.binding != UNBOUND]
-    if bound.size and bound.max() >= dag.dim:
+    bound = np.sort(dag.binding[dag.binding != UNBOUND])
+    if bound.size and bound[-1] >= dag.dim:
         violations.append("bound variable index out of range")
-    if np.unique(bound).size != bound.size:
+    if (bound[1:] == bound[:-1]).any():
         violations.append("duplicate variable binding")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -461,6 +448,7 @@ def build_layer_graph(p: int, k: int, d: int) -> Dag:
     srcs.append(layer[-1])
     dsts.append(np.full(m, p - 1, dtype=np.int64))
     edges = np.column_stack((np.concatenate(srcs), np.concatenate(dsts)))
+    del layer, srcs, dsts
     return Dag(p, edges, source=0, terminal=p - 1, binding=np.arange(p), dim=p)
 
 

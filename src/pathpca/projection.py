@@ -12,9 +12,9 @@ The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
 values. Both run on a (V, B) block of weight columns at once: ``_paths``
 projects a block, and ``solvers.sample_and_project`` projects its candidates
-through it in chunks; each chunk's arrays fit the budget (``_block_width``).
-``project`` is the B=1 case, on 1-D arrays. There is one DP and one walk, so
-single and batched projections agree bit for bit, tie-break included.
+through it in chunks. ``project`` is the B=1 case, on 1-D arrays. There is
+one DP and one walk, so single and batched projections agree bit for bit,
+tie-break included.
 """
 
 from __future__ import annotations
@@ -101,24 +101,6 @@ def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         sup[1:][dup] = pad
         sup.sort(axis=0)
     return sup, (sup != pad).sum(axis=0)
-
-
-def _block_width(dag: Dag, budget: int, rank: int) -> int:
-    """Sample-and-project candidates per chunk whose arrays fit ``budget``
-    bytes, but at least 1. Per column it counts 8 bytes for each of: the
-    direction draw and its normalized copy (``rank`` rows each); the weights
-    (dim rows); the vertex weights and DP values (|V| rows each); the gather
-    of the largest level group; and, with L the most vertices an S-T path can
-    have (one more than the number of level groups), the walk's vertex rows,
-    the sorted supports, the gathered weights and their squares (L rows
-    each) and the (L, rank) gather of factor rows. The walk's per-step
-    temporaries are no larger than the level-group gather; one-row arrays
-    (norms, scores) and boolean masks are left out."""
-    plan = dag._projection_plan()
-    group = max((ed.size for ed, _, _ in plan), default=0)
-    steps = len(plan) + 1
-    per_col = 2 * rank + dag.dim + 2 * dag.vertex_count + group + steps * (4 + rank)
-    return max(1, budget // (8 * per_col))
 
 
 def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,14 +43,31 @@ import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, GraphStructureError, Path, _path_array, make_path
-from .projection import (_block_width, _paths, _sorted_supports, _unit_on,
-                         project)
+from .projection import _paths, _sorted_supports, _unit_on, project
 
 # Byte budget of the arrays sample_and_project draws, projects and scores
-# each chunk of its candidates in (see projection._block_width), and of each
-# stacked eigh of brute_force_solve (see _top_eigenvalues): it sets how many
+# each chunk of its candidates in (see _block_width), and of each stacked
+# eigh of brute_force_solve (see _top_eigenvalues): it sets how many
 # candidates share one DP pass and how many submatrices one eigh call.
 _BLOCK_BYTES = 1 << 20
+
+
+def _block_width(dag: Dag, budget: int, rank: int) -> int:
+    """Sample-and-project candidates per chunk whose arrays fit ``budget``
+    bytes, but at least 1. Per column it counts 8 bytes for each of: the
+    direction draw and its normalized copy (``rank`` rows each); the weights
+    (dim rows); the vertex weights and DP values (|V| rows each); the gather
+    of the largest level group; and, with L the most vertices an S-T path can
+    have (one more than the number of level groups), the walk's vertex rows,
+    the sorted supports, the gathered weights and their squares (L rows
+    each) and the (L, rank) gather of factor rows. The walk's per-step
+    temporaries are no larger than the level-group gather; one-row arrays
+    (norms, scores) and boolean masks are left out."""
+    plan = dag._projection_plan()
+    group = max((ed.size for ed, _, _ in plan), default=0)
+    steps = len(plan) + 1
+    per_col = 2 * rank + dag.dim + 2 * dag.vertex_count + group + steps * (4 + rank)
+    return max(1, budget // (8 * per_col))
 
 
 @dataclass
@@ -167,7 +184,12 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     array that holds every nonzero of x), an item returned for the best
     iterate (no other item is kept), and whether the step fell back to a
     degenerate loading. A start's weight is stepped first and counts in the
-    trace. Each iterate is multiplied only on its support: ``u = x[idx] @
+    trace. A weight whose squares could sum past float max (largest square
+    at least float max / p, possible near the top of the range
+    ``prepare_covariance`` accepts) is stepped times the power of two that
+    brings its largest magnitude into [0.5, 1): an exact scaling of the
+    same direction, so the same step; other weights are stepped as they
+    are. Each iterate is multiplied only on its support: ``u = x[idx] @
     s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is exactly
     symmetric, the Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and
     u is the next step's input, so an iteration costs one O(p * |idx|)
@@ -182,9 +204,17 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     starts. While a start runs, only the best of the finished starts is kept.
     """
     cfg = cfg if cfg is not None else PowerMethodConfig()
+    limit = np.finfo(float).max / s.shape[0]
+
+    def fitted_step(w):
+        top = float(np.abs(w).max())
+        if top * top < limit:
+            return step(w)
+        return step(np.ldexp(w, -np.frexp(top)[1]))
+
     best, best_item, iterations = None, None, 0
     for w in _starts(s, cfg):
-        res, item = _power_from(s, step, w, cfg)
+        res, item = _power_from(s, fitted_step, w, cfg)
         iterations += res.iterations
         if best is None or res.objective > best.objective:
             best, best_item = res, item

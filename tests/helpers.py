@@ -74,6 +74,51 @@ def random_dag(rng, max_interior: int = 38, max_paths: int = 5000) -> Dag:
         return dag
 
 
+def reference_store(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR edge store (indptr, indices) by a lexicographic sort of the
+    edge rows and a row-compare dedupe: an independent build of
+    ``Dag._indptr`` and ``Dag._indices``."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size:
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        e = e[np.r_[True, (e[1:] != e[:-1]).any(axis=1)]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e[:, 0], minlength=n), out=indptr[1:])
+    return indptr, e[:, 1].copy()
+
+
+def reference_plan(dag: Dag):
+    """``Dag._projection_plan`` by another route, or None when the graph has
+    a cycle: Kahn levels by ``np.maximum.at`` over each frontier's out-edges,
+    then every edge not leaving the terminal stably sorted by descending
+    source level, cut into one group per level and one run per source."""
+    n, indptr, indices = dag.vertex_count, dag._indptr, dag._indices
+    es = np.repeat(np.arange(n), np.diff(indptr))
+    indeg = np.bincount(indices, minlength=n)
+    level = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(indeg == 0)
+    seen = frontier.size
+    while frontier.size:
+        out = np.isin(es, frontier)
+        np.maximum.at(level, indices[out], level[es[out]] + 1)
+        indeg -= np.bincount(indices[out], minlength=n)
+        touched = np.unique(indices[out])
+        frontier = touched[indeg[touched] == 0]
+        seen += frontier.size
+    if seen < n:
+        return None
+    keep = es != dag.terminal
+    es, ed = es[keep], indices[keep]
+    order = np.argsort(-level[es], kind="stable")
+    es, ed, lv = es[order], ed[order], level[es[order]]
+    plan = []
+    for lvl in np.unique(lv)[::-1]:
+        at = lv == lvl
+        src, runs = np.unique(es[at], return_index=True)
+        plan.append((ed[at], runs.astype(np.int64), src))
+    return plan
+
+
 def support_indicator(dag: Dag, paths) -> np.ndarray:
     m = np.zeros((len(paths), dag.dim))
     for i, path in enumerate(paths):

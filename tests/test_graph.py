@@ -1,5 +1,7 @@
 """Graph construction, validation, counting, and enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from pathpca import (
     validate,
 )
 
-from helpers import random_dag
+from helpers import random_dag, reference_plan, reference_store
 
 
 def diamond():
@@ -143,11 +145,76 @@ class TestEdgeStore:
             kw = dict(binding=d.binding, dim=d.dim)
             assert Dag(d.vertex_count, d.edges(), d.source, d.terminal, **kw) == d
 
+    def test_too_many_vertices_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertex_count"):
+                Dag(3_037_000_500, [], 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("p,k,d", [(130, 4, 8), (1026, 8, 32), (10_002, 10, 4)])
     def test_edges_are_held_once(self, p, k, d):
         g = build_layer_graph(p, k, d)
         held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
         assert held <= 8 * (g.edge_count + 4 * (g.vertex_count + 1))
+
+
+class TestPlanOracle:
+    """The edge store and every plan group equal those of the lexsort and
+    levels-argsort construction (``helpers.reference_store`` and
+    ``reference_plan``) array for array, dtypes included; a graph with a
+    cycle fails in both."""
+
+    def check(self, d, edges):
+        indptr, indices = reference_store(d.vertex_count, edges)
+        for got, want in ((d._indptr, indptr), (d._indices, indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = reference_plan(d)
+        if want is None:
+            with pytest.raises(GraphStructureError):
+                d._projection_plan()
+            assert "graph contains a cycle" in validate(d).violations
+            return
+        got = d._projection_plan()
+        assert len(got) == len(want)
+        for group, ref in zip(got, want):
+            for a, b in zip(group, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_random_dags_with_shuffled_edges(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            d = random_dag(rng, max_interior=24)
+            e = d.edges()
+            e = e[rng.permutation(len(e))]
+            self.check(Dag(d.vertex_count, e, d.source, d.terminal,
+                           binding=d.binding, dim=d.dim), e)
+
+    def test_random_graphs_with_cycles_loops_and_repeats(self):
+        rng = np.random.default_rng(42)
+        for _ in range(1000):
+            n = int(rng.integers(1, 12))
+            e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
+            if len(e) and rng.random() < 0.5:
+                e = np.concatenate([e, e[rng.integers(0, len(e), size=len(e))]])
+            s, t = rng.integers(0, n, size=2).tolist()
+            self.check(Dag(n, e, s, t), e)
+
+    @pytest.mark.parametrize("p,k,d", [(34, 4, 8), (1026, 8, 4), (2050, 8, 4),
+                                       (1002, 500, 2)])
+    def test_layer_graphs(self, p, k, d):
+        g = build_layer_graph(p, k, d)
+        self.check(g, g.edges())
+
+    def test_group_graphs_and_awkward_cases(self):
+        graphs = [build_group_graph([[0, 1], [2, 3, 4]]),
+                  build_group_graph([[4, 2], [0, 7], [1], [3, 5, 6]]),
+                  *AWKWARD.values()]
+        for g in graphs:
+            self.check(g, g.edges())
 
 
 class TestReversePasses:

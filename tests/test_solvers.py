@@ -31,7 +31,6 @@ from pathpca import (
 )
 from pathpca import solvers
 from pathpca.data import seed_key
-from pathpca.projection import _block_width
 
 from helpers import (assert_feasible, count_factorizations, one_start,
                      oracle_best_rayleigh, random_dag, random_psd,
@@ -827,6 +826,28 @@ class TestSupportRestrictedLoop:
             assert res.trace.index(max(res.trace)) < len(res.trace) - 1
 
 
+class TestTopOfCovarianceRange:
+    def test_scaled_covariance_gives_the_same_answer(self):
+        # s * 2**j with entries just under the float max / 2p that
+        # prepare_covariance accepts: s @ x is finite but its squares
+        # overflow. tol is absolute, so on the scaled matrix only the step
+        # rule can stop a start; a tight tol makes both runs converge.
+        dag = build_layer_graph(6, 2, 2)
+        cfg = PowerMethodConfig(tol=1e-12, restarts=2)
+        top = np.finfo(float).max / 12
+        for seed in range(10):
+            s = random_psd(6, np.random.default_rng(seed))
+            j = int(np.floor(np.log2(top / np.abs(s).max())))
+            big = s * 2.0**j
+            pairs = [(graph_truncated_power(s, dag, cfg), graph_truncated_power(big, dag, cfg))]
+            pairs += [(sparse_truncated_power(s, k, cfg), sparse_truncated_power(big, k, cfg))
+                      for k in (2, 3)]
+            for a, b in pairs:
+                assert a.path == b.path
+                assert np.array_equal(np.flatnonzero(a.x), np.flatnonzero(b.x))
+                assert b.objective / 2.0**j == pytest.approx(a.objective, rel=1e-12)
+
+
 class TestTopK:
     def test_matches_full_sort_with_ties_and_zeros(self):
         rng = np.random.default_rng(433)
@@ -1030,7 +1051,7 @@ class TestSampleAndProjectBlock:
                 binding={1: 0, 2: 1, 3: 2})
         cfg = SampleProjectConfig(rank=3, budget=9, seed=11)
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", 2 * 8 * 43)  # 43 floats a column
-        assert _block_width(d, solvers._BLOCK_BYTES, 3) == 2
+        assert solvers._block_width(d, solvers._BLOCK_BYTES, 3) == 2
         res = sample_and_project(np.eye(3), d, cfg)
         assert res.trace == [1.0] * 9
         v = low_rank_factor(np.eye(3), 3)
