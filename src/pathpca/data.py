@@ -8,7 +8,8 @@ evaluation or vectorization order. Seeds may be ints or tuples of ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,13 +94,13 @@ class Covariance:
     eigenpairs (ascending eigenvalues, as ``np.linalg.eigh`` returns them).
 
     Built by ``prepare_covariance`` and shared by every solver and start of a
-    sweep cell. The eigenpairs are computed on first read of ``evals`` or
-    ``evecs`` and cached, unless the PSD check already computed them; reading
+    sweep cell. The eigenpairs are one ``eigh``, run on the first read of
+    ``evals`` or ``evecs`` (the PSD check reads them for a matrix its gate
+    leaves undecided) and kept as a ``functools.cached_property``; reading
     ``matrix`` or ``dim`` never decomposes. All arrays are read-only.
     """
 
     matrix: np.ndarray
-    _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -107,27 +108,27 @@ class Covariance:
 
     @property
     def decomposed(self) -> bool:
-        """Whether the eigenpairs have been computed."""
-        return self._pairs is not None
+        """Whether the eigenpairs have been computed (a cached property's
+        value is stored in the instance dict)."""
+        return "_eigenpairs" in self.__dict__
 
     @property
     def evals(self) -> np.ndarray:
-        return self._eigenpairs()[0]
+        return self._eigenpairs[0]
 
     @property
     def evecs(self) -> np.ndarray:
-        return self._eigenpairs()[1]
+        return self._eigenpairs[1]
 
+    @cached_property
     def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pairs is None:
-            try:
-                pairs = np.linalg.eigh(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"eigendecomposition failed: {exc}") from exc
-            for a in pairs:
-                a.flags.writeable = False
-            object.__setattr__(self, "_pairs", tuple(pairs))
-        return self._pairs
+        try:
+            pairs = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        for a in pairs:
+            a.flags.writeable = False
+        return tuple(pairs)
 
 
 def _cholesky_succeeds(s: np.ndarray, shift: float) -> bool:

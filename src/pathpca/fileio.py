@@ -37,14 +37,18 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _content_lines(path):
+def _read_text(path) -> str:
+    """The file's text, newlines universal; ParseError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
+            return fh.read()
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc.strerror}") from exc
+
+
+def _content_lines(path):
     out = []
-    for i, line in enumerate(raw, start=1):
+    for i, line in enumerate(_read_text(path).split("\n"), start=1):
         text = line.split("#", 1)[0].strip()
         if text:
             out.append((i, text))
@@ -152,13 +156,7 @@ def load_data_csv(path, header: bool = False) -> np.ndarray:
     """
     rows = []
     width = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ParseError(path, None, f"cannot read file: {exc.strerror}") from exc
-    start = 2 if header else 1
-    for line_no, line in enumerate(raw, start=1):
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         if header and line_no == 1:
             continue
         text = line.strip()
@@ -175,7 +173,7 @@ def load_data_csv(path, header: bool = False) -> np.ndarray:
         except ValueError:
             raise ParseError(path, line_no, "non-numeric cell") from None
     if not rows:
-        raise ParseError(path, None if not header else start - 1, "no data rows")
+        raise ParseError(path, 1 if header else None, "no data rows")
     return np.asarray(rows, dtype=float)
 
 
@@ -190,25 +188,31 @@ def write_data_csv(y, path, header: bool = False):
 
 def load_covariance_json(path) -> np.ndarray:
     """The float matrix of a ``{"sigma": [[...], ...]}`` file. Every cell must
-    be a number, and an integer cell must fit in 64 bits: write larger values
-    as floats (``1e20``), as ``write_covariance_json`` does."""
+    be a number (``true`` and ``false`` are not), and an integer cell must fit
+    in 64 bits: write larger values as floats (``1e20``), as
+    ``write_covariance_json`` does."""
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(path, None, f"cannot read file: {exc.strerror}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    # numpy folds bools into int and float dtypes, so bool cells are looked
+    # for by type, but only in a text that can spell them: neither the keys
+    # nor a float repr hold a "t" or an "f"
+    spelled = "t" in text or "f" in text
+    del text
     if not isinstance(doc, dict) or "sigma" not in doc:
         raise ParseError(path, None, "expected an object with a 'sigma' field")
     try:  # ragged rows raise; a null cell makes the dtype object, a string str
         sigma = np.array(doc["sigma"])
     except ValueError:
         sigma = np.array(None)
-    if sigma.dtype.kind not in "biuf":
+    if sigma.dtype.kind not in "iuf":
         raise ParseError(path, None, "'sigma' must be a matrix of numbers")
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ParseError(path, None, "'sigma' must be a square matrix")
+    if spelled and any(type(c) is bool for row in doc["sigma"] for c in row):
+        raise ParseError(path, None, "'sigma' must be a matrix of numbers")
     p = doc.get("p", sigma.shape[0])
     if not isinstance(p, int) or isinstance(p, bool):
         raise ParseError(path, None, "'p' must be an integer")

@@ -9,16 +9,19 @@ sequences from ``source`` to ``terminal`` following edges.
 Edges are stored once, as a sorted out-adjacency in CSR form (``_indptr``
 row starts, ``_indices`` neighbours), built from one sort of the int64 edge
 keys ``source * vertex_count + target``. Every reverse pass over the graph
-(the longest-path DP of the projection, reachability of the terminal, exact
-path counts) runs over one plan, ``Dag._projection_plan``, so they agree on
-what an S-T path is. The plan's groups are the Kahn waves of the CSR store,
-deepest first: wave t holds the vertices at longest distance t from the
-in-degree-0 vertices, so every edge leaves a group for a later one.
+(the longest-path DP of the projection, exact path counts) runs over one
+plan, ``Dag._projection_plan``, so they agree on what an S-T path is, and
+a vertex reaches the terminal exactly when its path count is positive. The
+plan's groups are the Kahn waves of the CSR store, deepest first: wave t
+holds the vertices at longest distance t from the in-degree-0 vertices, so
+every edge leaves a group for a later one. Structure derived from the store
+is computed on first read and kept (``functools.cached_property``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,9 +144,6 @@ class Dag:
         for arr in (self._binding, self._indptr, self._indices,
                     self._bound_vertices, self._bound_vars):
             arr.setflags(write=False)
-        self._dp_plan = None
-        self._reach_t = None
-        self._bound_path = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -201,50 +201,43 @@ class Dag:
 
     # -- cached structure ---------------------------------------------------
 
+    @cached_property
     def _reach_terminal(self) -> np.ndarray:
-        """Boolean mask of vertices from which the terminal is reachable."""
-        if self._reach_t is not None:
-            return self._reach_t
-        mask = np.zeros(self._n, dtype=bool)
-        mask[self._terminal] = True
-        for ed, offs, src in self._projection_plan():
-            mask[src] = np.logical_or.reduceat(mask[ed], offs)
-        self._reach_t = mask
-        self._reach_t.setflags(write=False)
+        """Read-only boolean mask of vertices from which the terminal is
+        reachable: those with a positive path count."""
+        mask = _ways_to_terminal(self) > 0
+        mask.setflags(write=False)
         return mask
 
+    @cached_property
     def _first_bound_path(self) -> Path:
         """The lexicographically first S-T path that binds a variable, found
         once: a projection's fallback when its weight vanishes on every path
-        and its tie-break path binds nothing. ValueError when no S-T path
-        binds a variable.
+        and its tie-break path binds nothing. ValueError on every read when
+        no S-T path binds a variable.
 
         ``binds[v]`` says some path from v to the terminal binds a variable.
         From the source, the walk takes the smallest out-neighbour that can
         still complete such a path, and once the path binds a variable, the
         smallest one that reaches the terminal.
         """
-        if self._bound_path is None:
-            bound = self._binding != UNBOUND
-            reach = self._reach_terminal()
-            binds = bound & reach
-            for ed, offs, src in self._projection_plan():
-                binds[src] |= np.logical_or.reduceat(binds[ed], offs)
-            path = None
-            if binds[self._source]:
-                cur = self._source
-                verts, need = [cur], not bound[cur]
-                while cur != self._terminal:
-                    nb = self._indices[self._indptr[cur]:self._indptr[cur + 1]]
-                    cur = int(nb[np.argmax((binds if need else reach)[nb])])
-                    verts.append(cur)
-                    need = need and not bound[cur]
-                path = make_path(self, verts, check=False)
-            self._bound_path = (path,)
-        if self._bound_path[0] is None:
+        bound = self._binding != UNBOUND
+        reach = self._reach_terminal
+        binds = bound & reach
+        for ed, offs, src in self._projection_plan:
+            binds[src] |= np.logical_or.reduceat(binds[ed], offs)
+        if not binds[self._source]:
             raise ValueError("no S-T path binds any variable")
-        return self._bound_path[0]
+        cur = self._source
+        verts, need = [cur], not bound[cur]
+        while cur != self._terminal:
+            nb = self.out_neighbors(cur)
+            cur = int(nb[np.argmax((binds if need else reach)[nb])])
+            verts.append(cur)
+            need = need and not bound[cur]
+        return make_path(self, verts, check=False)
 
+    @cached_property
     def _projection_plan(self):
         """The one reverse-level traversal: a list of groups (targets, run
         offsets, run sources), one group per Kahn wave with out-edges,
@@ -258,16 +251,15 @@ class Dag:
         A group holds its wave's out-edges in (source, target) order, one
         run per source, so a ``reduceat`` over the targets' values at the
         offsets reduces each source's out-neighbors. This drives the
-        longest-path DP of the projection, reachability of the terminal and
-        the exact path counts. Edges leaving the terminal are left out: no
-        S-T path uses them, and the terminal's value is fixed. A cycle
-        leaves vertices in no wave: GraphStructureError.
+        longest-path DP of the projection and the exact path counts, whose
+        positive entries are the vertices that reach the terminal. Edges
+        leaving the terminal are left out: no S-T path uses them, and the
+        terminal's value is fixed. A cycle leaves vertices in no wave:
+        GraphStructureError.
 
         A wave step sorts only the targets of the wave's out-edges, so the
         pass costs O(|E| log |E|) however many waves there are.
         """
-        if self._dp_plan is not None:
-            return self._dp_plan
         indptr, indices, n = self._indptr, self._indices, self._n
         has_out = indptr[1:] > indptr[:-1]
         indeg = np.bincount(indices, minlength=n)
@@ -289,7 +281,6 @@ class Dag:
         if seen < n:
             raise GraphStructureError("graph contains a cycle")
         plan.reverse()
-        self._dp_plan = plan
         return plan
 
 
@@ -306,13 +297,11 @@ def validate(dag: Dag) -> ValidationReport:
     if dag.out_neighbors(dag.terminal).size > 0:
         violations.append("terminal has outgoing edges")
     try:
-        if not dag._reach_terminal()[dag.source]:
+        if not dag._reach_terminal[dag.source]:
             violations.append("no path from source to terminal")
     except GraphStructureError:
         violations.append("graph contains a cycle")
     bound = np.sort(dag.binding[dag.binding != UNBOUND])
-    if bound.size and bound[-1] >= dag.dim:
-        violations.append("bound variable index out of range")
     if (bound[1:] == bound[:-1]).any():
         violations.append("duplicate variable binding")
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -324,7 +313,7 @@ def _ways_to_terminal(dag: Dag) -> np.ndarray:
     projection plan."""
     ways = np.zeros(dag.vertex_count, dtype=object)
     ways[dag.terminal] = 1
-    for ed, offs, src in dag._projection_plan():
+    for ed, offs, src in dag._projection_plan:
         ways[src] = np.add.reduceat(ways[ed], offs)
     return ways
 
@@ -373,7 +362,7 @@ def _path_array(dag: Dag, cap: int = 10000) -> np.ndarray:
         raise ValueError(f"path count {total} exceeds cap {cap}")
     if total == 0:
         return np.empty((0, 1), dtype=np.int64)
-    reach = dag._reach_terminal()
+    reach = dag._reach_terminal
     rows = np.array([[dag.source]], dtype=np.int64)
     live = rows[:, -1] != dag.terminal
     while live.any():

@@ -50,7 +50,7 @@ def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
     block."""
     best = np.full(vw.shape, -np.inf)
     best[dag.terminal] = vw[dag.terminal]
-    for ed, offs, src in dag._projection_plan():
+    for ed, offs, src in dag._projection_plan:
         best[src] = vw[src] + np.maximum.reduceat(best[ed], offs, axis=0)
     return best
 
@@ -153,6 +153,6 @@ def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
         raise ValueError("input vector too large: its squares overflow")
     path = make_path(dag, _walk(dag, best), check=False)
     if not path.support:  # w vanishes on every path; the tie-break binds nothing
-        path = dag._first_bound_path()
+        path = dag._first_bound_path
     x, degenerate = _unit_on(w, path.sorted_support())
     return ProjectedVector(x=x, path=path, degenerate=degenerate)

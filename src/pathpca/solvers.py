@@ -63,7 +63,7 @@ def _block_width(dag: Dag, budget: int, rank: int) -> int:
     each) and the (L, rank) gather of factor rows. The walk's per-step
     temporaries are no larger than the level-group gather; one-row arrays
     (norms, scores) and boolean masks are left out."""
-    plan = dag._projection_plan()
+    plan = dag._projection_plan
     group = max((ed.size for ed, _, _ in plan), default=0)
     steps = len(plan) + 1
     per_col = 2 * rank + dag.dim + 2 * dag.vertex_count + group + steps * (4 + rank)
@@ -140,23 +140,22 @@ def _starts(s: np.ndarray, cfg: PowerMethodConfig):
 
 def _power_from(s: np.ndarray, step, w: np.ndarray, cfg: PowerMethodConfig):
     """One start of ``_truncated_power`` from the start weight w; returns its
-    best iterate (first on ties) as a result with ``path=None``, plus its
-    item."""
-    x, idx, item, degenerate = step(w)
+    best iterate (first on ties) and that iterate's path as a result."""
+    x, idx, path, degenerate = step(w)
     u = x[idx] @ s[idx]
     best_obj = float(x[idx] @ u[idx])
     trace = [best_obj]
-    best_x, best_item = x, item
+    best_x, best_path = x, path
     stable, stop_reason = 0, "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
-        nxt, nxt_idx, item, deg = step(u)
+        nxt, nxt_idx, path, deg = step(u)
         degenerate += deg
         u = nxt[nxt_idx] @ s[nxt_idx]
         obj = float(nxt[nxt_idx] @ u[nxt_idx])
         trace.append(obj)
         if obj > best_obj:
-            best_x, best_obj, best_item = nxt, obj, item
-        del item  # keep no item but the best one
+            best_x, best_obj, best_path = nxt, obj, path
+        del path  # keep no path but the best one
         moved = float(np.linalg.norm(nxt - x))
         if np.array_equal(nxt_idx, idx) and abs(obj - trace[-2]) <= cfg.tol:
             stable += 1
@@ -169,27 +168,26 @@ def _power_from(s: np.ndarray, step, w: np.ndarray, cfg: PowerMethodConfig):
         if stable >= 2:
             stop_reason = "stable"
             break
-    res = EstimateResult(x=best_x, path=None, objective=best_obj,
-                         iterations=iterations, trace=trace,
-                         stop_reason=stop_reason, degenerate=degenerate)
-    return res, best_item
+    return EstimateResult(x=best_x, path=best_path, objective=best_obj,
+                          iterations=iterations, trace=trace,
+                          stop_reason=stop_reason, degenerate=degenerate)
 
 
 def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     """Truncated power iteration x <- step(s @ x) for both power methods,
     from every start of ``cfg``.
 
-    ``step(w)`` returns ``(x, idx, item, degenerate)``: the feasible unit
+    ``step(w)`` returns ``(x, idx, path, degenerate)``: the feasible unit
     vector nearest w, the ascending indices ``idx`` of its support (an int
-    array that holds every nonzero of x), an item returned for the best
-    iterate (no other item is kept), and whether the step fell back to a
-    degenerate loading. A start's weight is stepped first and counts in the
-    trace. A weight whose squares could sum past float max (largest square
-    at least float max / p, possible near the top of the range
-    ``prepare_covariance`` accepts) is stepped times the power of two that
-    brings its largest magnitude into [0.5, 1): an exact scaling of the
-    same direction, so the same step; other weights are stepped as they
-    are. Each iterate is multiplied only on its support: ``u = x[idx] @
+    array that holds every nonzero of x), its ``Path`` (None for the sparse
+    baseline; the result carries the best iterate's, and no other is kept),
+    and whether the step fell back to a degenerate loading. A start's weight
+    is stepped first and counts in the trace. A weight whose squares could
+    sum past float max (largest square at least float max / p, possible near
+    the top of the range ``prepare_covariance`` accepts) is stepped times
+    the power of two that brings its largest magnitude into [0.5, 1): an
+    exact scaling of the same direction, so the same step; other weights
+    are stepped as they are. Each iterate is multiplied only on its support: ``u = x[idx] @
     s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is exactly
     symmetric, the Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and
     u is the next step's input, so an iteration costs one O(p * |idx|)
@@ -199,7 +197,7 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
     "step"), when the support has been stable for two consecutive steps with
     objective change at most ``tol`` ("stable"), or at ``max_iters``
     ("max_iters"). The starts run one after another (see ``_starts``); the
-    best objective wins, the earliest start on ties, with its x, trace, item,
+    best objective wins, the earliest start on ties, with its x, path, trace,
     stop reason and degenerate count, and the iterations are summed over all
     starts. While a start runs, only the best of the finished starts is kept.
     """
@@ -212,14 +210,14 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
             return step(w)
         return step(np.ldexp(w, -np.frexp(top)[1]))
 
-    best, best_item, iterations = None, None, 0
+    best, iterations = None, 0
     for w in _starts(s, cfg):
-        res, item = _power_from(s, fitted_step, w, cfg)
+        res = _power_from(s, fitted_step, w, cfg)
         iterations += res.iterations
         if best is None or res.objective > best.objective:
-            best, best_item = res, item
-        del res, item  # keep no start but the best one
-    return replace(best, iterations=iterations), best_item
+            best = res
+        del res  # keep no start but the best one
+    return replace(best, iterations=iterations)
 
 
 def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
@@ -237,10 +235,9 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
 
     def step(w):
         pv = project(dag, w)
-        return pv.x, pv.path.sorted_support(), pv, pv.degenerate
+        return pv.x, pv.path.sorted_support(), pv.path, pv.degenerate
 
-    res, best = _truncated_power(s, step, config)
-    return replace(res, path=best.path)
+    return _truncated_power(s, step, config)
 
 
 def _directions(rng: np.random.Generator, count: int, rank: int) -> np.ndarray:
@@ -334,7 +331,7 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
         verts, sup, counts = _paths(dag, w)
         bare = counts == 0  # w vanishes on every path, whose tie-break binds nothing
         if bare.any():
-            fallback = dag._first_bound_path().sorted_support()
+            fallback = dag._first_bound_path.sorted_support()
             if fallback.size > sup.shape[0]:
                 sup = np.pad(sup, ((0, fallback.size - sup.shape[0]), (0, 0)),
                              constant_values=np.iinfo(np.int64).max)
@@ -349,7 +346,7 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                     None if bare[j] else verts[:, j].copy())
     w, sup, verts = best
     x, _ = _unit_on(w, sup)
-    path = (dag._first_bound_path() if verts is None
+    path = (dag._first_bound_path if verts is None
             else make_path(dag, verts[verts >= 0], check=False))
     return EstimateResult(x=x, path=path,
                           objective=float(x @ cov.matrix @ x),
@@ -446,4 +443,4 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
         x = _top_k_unit(w, k)
         return x, np.flatnonzero(x), None, False
 
-    return _truncated_power(s, step, config)[0]
+    return _truncated_power(s, step, config)

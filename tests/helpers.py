@@ -67,7 +67,7 @@ def random_dag(rng, max_interior: int = 38, max_paths: int = 5000) -> Dag:
         if count_paths(dag) > max_paths:
             continue
         fwd = forward_reachable(dag)
-        bwd = dag._reach_terminal()
+        bwd = dag._reach_terminal
         on_path = [v for v in bound if fwd[v] and bwd[v]]
         if not on_path:
             continue

@@ -301,7 +301,9 @@ class TestSolve:
         assert out == ""
 
     @pytest.mark.parametrize("sigma", ['[[1.0, null], [null, 1.0]]',
-                                       '[["1.5", 0.0], [0.0, 1.0]]'])
+                                       '[["1.5", 0.0], [0.0, 1.0]]',
+                                       '[[true, false], [false, true]]',
+                                       '[[1.0, true], [true, 2]]'])
     def test_non_numeric_covariance_cell_exits_3(self, tmp_path, capsys, sigma):
         g = chain_graph_file(tmp_path)
         f = tmp_path / "sigma.json"

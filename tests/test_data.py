@@ -339,8 +339,13 @@ class TestLazyEigenpairs:
         counts = count_factorizations(monkeypatch, 7)
         cov = prepare_covariance(s)
         assert counts == {"eigh": 0, "cholesky": 1}
+        assert not cov.decomposed
         cov.evecs
+        assert cov.decomposed  # flips on the first read
         cov.evals
+        assert counts == {"eigh": 1, "cholesky": 1}
+        for _ in range(3):  # one eigh serves every later read
+            assert cov.evals is cov.evals and cov.evecs is cov.evecs
         assert counts == {"eigh": 1, "cholesky": 1}
 
     def test_undecided_matrix_keeps_the_pairs_of_its_eigh(self, monkeypatch):

@@ -181,6 +181,21 @@ class TestDataCsv:
             load_data_csv(f, header=True)
         assert exc.value.line_no == line_no + 1
 
+    def test_line_numbers_follow_universal_newlines(self, tmp_path):
+        # \r\n, \r and \n all end a line, as in a text-mode readlines
+        f = tmp_path / "y.csv"
+        f.write_bytes(b"1,2\r\n\r3,4\r5\n")
+        with pytest.raises(ParseError) as err:
+            load_data_csv(f)
+        assert err.value.line_no == 4
+        f.write_bytes(b"1,2\r\n\r3,4\r")
+        assert load_data_csv(f).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"p=3 source=0 terminal=2\r\n# note\redge 0 1\r\nbogus\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(g)
+        assert err.value.line_no == 4
+
     def test_cells_parse_as_float_does(self, tmp_path):
         cells = [" 1.5", "1_0 ", "nan", "-inf", "1e400", "1e-400", "+2", "\t3"]
         f = tmp_path / "y.csv"
@@ -233,12 +248,21 @@ class TestCovarianceJson:
         '[["1.5", 0.0], [0.0, 1.0]]',  # nor is a numeric string
         '[[1.0, 0.0], [0.0, 1.0, 2.0]]',
         '[[1.0, {}], [0.0, 1.0]]',
+        '[[true, false], [false, true]]',  # numpy reads a bool matrix
+        '[[1.0, true], [true, 2]]',  # numpy folds the bools into floats
     ])
     def test_cells_must_be_numbers(self, tmp_path, sigma):
         f = tmp_path / "s.json"
         f.write_text('{"sigma": %s}' % sigma)
         with pytest.raises(ParseError, match=r"s\.json.*matrix of numbers"):
             load_covariance_json(f)
+
+    def test_letters_without_boolean_cells_load(self, tmp_path):
+        # a "t" or an "f" elsewhere in the text only makes the loader look
+        f = tmp_path / "s.json"
+        f.write_text('{"note": "fit", "sigma": [[2.0, 0.5], [0.5, Infinity]]}')
+        s = load_covariance_json(f)
+        assert s[:, 0].tolist() == [2.0, 0.5] and s[1, 1] == np.inf
 
     def test_integer_cells_read_as_floats(self, tmp_path):
         f = tmp_path / "s.json"

@@ -175,10 +175,10 @@ class TestPlanOracle:
         want = reference_plan(d)
         if want is None:
             with pytest.raises(GraphStructureError):
-                d._projection_plan()
+                d._projection_plan
             assert "graph contains a cycle" in validate(d).violations
             return
-        got = d._projection_plan()
+        got = d._projection_plan
         assert len(got) == len(want)
         for group, ref in zip(got, want):
             for a, b in zip(group, ref):
@@ -228,7 +228,7 @@ class TestReversePasses:
 
     def test_reach_matches_backward_search(self):
         for d in self.cases():
-            assert np.array_equal(d._reach_terminal(), _bfs_reach(d))
+            assert np.array_equal(d._reach_terminal, _bfs_reach(d))
 
     def test_count_and_enumeration_match_recursion(self):
         for d in self.cases():
@@ -305,6 +305,52 @@ class TestValidate:
         rep = validate(d)
         assert len(rep.violations) >= 2
 
+    def test_bound_index_past_dim_is_rejected_by_the_constructor(self):
+        # so validate never meets a bound variable index out of range
+        with pytest.raises(ValueError, match="smaller than max bound index 5"):
+            Dag(3, [(0, 1), (1, 2)], 0, 2, binding={1: 5}, dim=3)
+        assert validate(Dag(3, [(0, 1), (1, 2)], 0, 2, binding={1: 5}, dim=6)).ok
+
+
+class TestCachedStructure:
+    """The plan, the reachability mask and the first binding path are each
+    computed once per DAG and the same object on every later read."""
+
+    def cases(self):
+        rng = np.random.default_rng(33)
+        return list(AWKWARD.values()) + [random_dag(rng, max_interior=16, max_paths=500)
+                                         for _ in range(40)]
+
+    def test_second_read_is_the_same_object(self):
+        for d in self.cases():
+            assert d._projection_plan is d._projection_plan
+            assert d._reach_terminal is d._reach_terminal
+        d = diamond()
+        assert d._first_bound_path is d._first_bound_path
+
+    def test_reach_is_a_read_only_positive_path_count(self):
+        for d in self.cases():
+            reach = d._reach_terminal
+            assert reach.dtype == bool and not reach.flags.writeable
+            with pytest.raises(ValueError):
+                reach[d.source] = not reach[d.source]
+            assert np.array_equal(reach, _bfs_reach(d))
+            assert reach[d.source] == (count_paths(d) > 0)
+
+    def test_reach_of_a_cyclic_graph_raises(self):
+        d = Dag(5, [(0, 1), (1, 2), (2, 1), (2, 3), (3, 4)], 0, 4)
+        for _ in range(2):
+            with pytest.raises(GraphStructureError, match="cycle"):
+                d._reach_terminal
+
+    def test_no_binding_path_raises_on_every_read(self):
+        unbound = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={})
+        off_path = Dag(4, [(0, 1), (1, 3), (2, 3)], 0, 3, binding={2: 0})
+        for d in (unbound, off_path):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="no S-T path binds any variable"):
+                    d._first_bound_path
+
 
 class TestCounting:
     def test_diamond_has_two_paths(self):
@@ -362,11 +408,11 @@ class TestEnumeration:
             binding = [p for p in paths if p.support]
             if not binding:
                 with pytest.raises(ValueError, match="no S-T path binds any variable"):
-                    d._first_bound_path()
+                    d._first_bound_path
                 continue
             sparse += not paths[0].support
-            assert d._first_bound_path() == binding[0]
-            assert d._first_bound_path() is d._first_bound_path()  # found once
+            assert d._first_bound_path == binding[0]
+            assert d._first_bound_path is d._first_bound_path  # found once
         assert sparse >= 3  # the first path bound nothing that often
 
     def test_paths_are_valid(self):

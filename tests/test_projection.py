@@ -237,7 +237,7 @@ class TestBlockProjection:
                     continue
                 if counts[j] == 0:  # the fallback to the first binding path
                     assert pv.degenerate
-                    assert pv.path == d._first_bound_path()
+                    assert pv.path == d._first_bound_path
                     continue
                 col = verts[:, j]
                 assert tuple(col[col >= 0].tolist()) == pv.path.vertices

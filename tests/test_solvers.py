@@ -801,7 +801,7 @@ class TestSupportRestrictedLoop:
         def tracked(dag_, w):
             alive.append(sum(r() is not None for r in refs))
             pv = original(dag_, w)
-            refs.append(weakref.ref(pv))
+            refs.append(weakref.ref(pv.path))
             return pv
 
         original = solvers.project
@@ -1109,7 +1109,7 @@ class TestSampleAndProjectBlock:
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(solvers, "_paths", paths)
         dag = build_layer_graph(130, 8, 4)
-        plan = dag._projection_plan()
+        plan = dag._projection_plan
         group = max(ed.size for ed, _, _ in plan)
         steps = len(plan) + 1
         sigma = random_psd(130, np.random.default_rng(313))
