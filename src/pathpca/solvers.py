@@ -16,9 +16,15 @@ Two heuristics and one exact reference:
   arrays fit the budget ``_BLOCK_BYTES``.
 - ``brute_force_solve``: per-path leading eigenvalues over an enumeration of
   all S-T paths; exact up to the eigensolver, for small path counts. The
-  paths are rows of one int array; their principal submatrices, grouped by
-  support size, go through one stacked ``eigh`` per chunk, each chunk's
-  submatrices, eigenvectors and eigenvalues fitting ``_BLOCK_BYTES``.
+  paths are rows of one int array. Each path's principal submatrix first
+  gets the upper bound min(Gershgorin row sum, Frobenius norm) on its
+  leading eigenvalue; the 64 highest-bound paths are decomposed for an
+  incumbent, then only the paths whose bound is at least the incumbent less
+  1e-12 of it. A pruned path's eigenvalue is at most its bound, below the
+  incumbent by more than rounding, so it can neither win nor tie, and the
+  result is that of decomposing every path. Submatrices of one support
+  size are bounded and decomposed in stacks (one ``eigh`` call each) that
+  fit ``_BLOCK_BYTES``.
 
 ``sparse_truncated_power`` is the unstructured k-sparse baseline: the same
 iteration with hard thresholding to the top-k magnitudes in place of the
@@ -46,10 +52,15 @@ from .graph import Dag, GraphStructureError, Path, _path_array, make_path
 from .projection import _paths, _sorted_supports, _unit_on, project
 
 # Byte budget of the arrays sample_and_project draws, projects and scores
-# each chunk of its candidates in (see _block_width), and of each stacked
-# eigh of brute_force_solve (see _top_eigenvalues): it sets how many
-# candidates share one DP pass and how many submatrices one eigh call.
+# each chunk of its candidates in (see _block_width), and of each stack of
+# submatrices brute_force_solve bounds or decomposes (see _per_path): it sets
+# how many candidates share one DP pass and how many submatrices one call.
 _BLOCK_BYTES = 1 << 20
+
+# How many of the highest-bound paths brute_force_solve decomposes first; the
+# largest of their eigenvalues is the incumbent every other path's bound is
+# held against.
+_INCUMBENT_PATHS = 64
 
 
 def _block_width(dag: Dag, budget: int, rank: int) -> int:
@@ -110,7 +121,8 @@ class SampleProjectConfig:
 class EstimateResult:
     """Solver output: the estimate, its support path (None for the sparse
     baseline), the Rayleigh quotient x^T sigma x, the iteration or sample
-    count, and the per-step objective trace. ``rank_objective`` is filled by
+    count, and the per-step objective trace (for brute force, the leading
+    eigenvalue of each path it decomposed). ``rank_objective`` is filled by
     sample_and_project with its selection objective ||V^T x||^2.
 
     The power methods also fill ``stop_reason`` ("step", "stable" or
@@ -354,20 +366,50 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
                           rank_objective=best_ro)
 
 
-def _top_eigenvalues(s: np.ndarray, sups: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each principal submatrix s[sup, sup], sup a row
-    of the (m, k) array ``sups``: one stacked ``eigh`` per chunk of rows,
-    each chunk's submatrices, eigenvectors and eigenvalues fitting
-    ``_BLOCK_BYTES`` (8 * (2k^2 + k) bytes a row; at least one row). The
-    stacked ``eigh`` is bit-identical to one call per submatrix, where
+def _per_path(f, row_floats, s: np.ndarray, var: np.ndarray, sizes: np.ndarray,
+              paths: np.ndarray) -> np.ndarray:
+    """``f`` of the principal submatrix s[sup, sup] of each of ``paths``, sup =
+    var[i, :sizes[i]] for path i, as one array in the order of ``paths``. f
+    takes a stack of submatrices of one size k and returns one value each;
+    a stack holds as many as fit ``_BLOCK_BYTES`` at 8 * row_floats(k) bytes
+    a submatrix (at least one)."""
+    out = np.empty(paths.size)
+    size = sizes[paths]
+    for k in np.unique(size).tolist():
+        at = np.flatnonzero(size == k)
+        chunk = max(1, _BLOCK_BYTES // (8 * row_floats(k)))
+        for a in range(0, at.size, chunk):
+            sup = var[paths[at[a:a + chunk]], :k]
+            out[at[a:a + chunk]] = f(s[sup[:, :, None], sup[:, None, :]])
+    return out
+
+
+def _top_eigenvalues(sub: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of the (m, k, k) stack ``sub``, by
+    one stacked ``eigh`` (2k^2 + k floats a matrix: it, its eigenvectors and
+    eigenvalues), which is bit-identical to one call per matrix, where
     ``eigvalsh`` would not be."""
-    m, k = sups.shape
-    rows = max(1, _BLOCK_BYTES // (8 * (2 * k * k + k)))
-    top = np.empty(m)
-    for a in range(0, m, rows):
-        sup = sups[a:a + rows]
-        top[a:a + rows] = np.linalg.eigh(s[sup[:, :, None], sup[:, None, :]])[0][:, -1]
-    return top
+    return np.linalg.eigh(sub)[0][:, -1]
+
+
+def _eigenvalue_bounds(sub: np.ndarray) -> np.ndarray:
+    """min(max_i sum_j |A_ij|, ||A||_F), Gershgorin's row-sum bound and the
+    Frobenius norm, for each symmetric matrix A of the (m, k, k) stack
+    ``sub``: an upper bound on its largest eigenvalue. Works in place (k^2 + k
+    floats a matrix: it and its row sums). Each |A| is scaled by the power of
+    two 2^-e that brings its largest entry into [0.5, 1), so no square
+    underflows to 0 or overflows, and the bound is scaled back by 2^e. That
+    is exact but for entries below 2^-1022 times the largest, whose share
+    of the bound is below its rounding, so the bound is that of A up to
+    rounding whenever A's largest entry is at least 2^-1022, up to the top
+    of the range ``prepare_covariance`` accepts."""
+    a = np.abs(sub, out=sub)
+    e = np.frexp(a.max(axis=(1, 2)))[1]
+    np.ldexp(a, -e[:, None, None], out=a)
+    gershgorin = a.sum(axis=2).max(axis=1)
+    np.square(a, out=a)
+    frobenius = np.sqrt(a.sum(axis=(1, 2)))
+    return np.ldexp(np.minimum(gershgorin, frobenius), e)
 
 
 def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
@@ -375,17 +417,30 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
     """Exact maximizer by path enumeration: the leading eigenpair of the
     principal submatrix of each path's support, best path kept (ties go to
     the lexicographically first path). Refuses graphs with more than ``cap``
-    paths. The trace holds each path's leading eigenvalue, in enumeration
-    order, skipping paths that bind no variable; the eigenvector sign makes
-    its largest-magnitude entry positive.
+    paths. ``iterations`` counts the paths that bind a variable; the
+    eigenvector sign makes its largest-magnitude entry positive.
+
+    Only the paths that can still win are decomposed. Every path first gets
+    the upper bound min(Gershgorin, Frobenius) on its leading eigenvalue
+    (``_eigenvalue_bounds``). The ``_INCUMBENT_PATHS`` paths with the highest
+    bounds are decomposed, and their largest eigenvalue is the incumbent.
+    Then the other paths whose bound is at least the incumbent less the
+    slack 1e-12 * |incumbent| are decomposed, and the first maximizer among
+    all decomposed paths wins. A pruned path cannot win or tie: its
+    eigenvalue is at most its bound, which is below the incumbent by more
+    than the rounding of the bound and of ``eigh`` (a few ulps per entry of
+    the submatrix, relative to its largest entry). The trace lists the leading
+    eigenvalues of the decomposed paths, in enumeration order, so
+    ``len(trace)`` is the number of paths decomposed.
 
     The paths come as rows of one array (``graph._path_array``), their
     supports as sorted, deduplicated rows of variables
-    (``projection._sorted_supports``). Paths are grouped by support size and
-    their submatrices decomposed in chunks by stacked ``eigh`` calls
-    (``_top_eigenvalues``, within ``_BLOCK_BYTES``); the winner's submatrix
-    alone is decomposed again for its eigenvector, and only it becomes a
-    ``Path``.
+    (``projection._sorted_supports``). Bounds and eigenvalues are computed on
+    stacks of submatrices of one support size, each stack within
+    ``_BLOCK_BYTES`` (``_per_path``); the eigenvalues by stacked ``eigh``
+    calls (``_top_eigenvalues``), each bit-identical to the eigenvalue the
+    path's own ``eigh`` gives. The winner's submatrix alone is decomposed
+    again for its eigenvector, and only it becomes a ``Path``.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
     rows = _path_array(dag, cap)
@@ -396,12 +451,25 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
     examined = np.flatnonzero(sizes > 0)
     if examined.size == 0:
         raise ValueError("no S-T path binds any variable")
-    top = np.empty(rows.shape[0])
-    for k in np.unique(sizes[examined]).tolist():
-        group = np.flatnonzero(sizes == k)
-        top[group] = _top_eigenvalues(s, var[group, :k])
-    top = top[examined]
-    win = int(examined[np.argmax(top)])  # the first maximum: ties go first
+
+    def eigenvalues(at):
+        return _per_path(_top_eigenvalues, lambda k: 2 * k * k + k, s, var,
+                         sizes, examined[at])
+
+    bound = _per_path(_eigenvalue_bounds, lambda k: k * k + k, s, var, sizes,
+                      examined)
+    lam = np.empty(examined.size)
+    done = np.zeros(examined.size, dtype=bool)
+    cut = max(0, bound.size - _INCUMBENT_PATHS)
+    head = np.argpartition(bound, cut)[cut:]
+    lam[head] = eigenvalues(head)
+    done[head] = True
+    incumbent = float(lam[head].max())
+    rest = np.flatnonzero(~done & (bound >= incumbent - 1e-12 * abs(incumbent)))
+    lam[rest] = eigenvalues(rest)
+    done[rest] = True
+    top = lam[done]
+    win = int(examined[done][np.argmax(top)])  # the first maximum: ties go first
     sup = var[win, :sizes[win]]
     evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
     q = evecs[:, -1]

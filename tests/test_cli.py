@@ -151,11 +151,11 @@ class TestSolve:
     # the records of the four solvers on this dataset, pinned so that a change
     # to the dispatch behind `pathpca solve` cannot move them unnoticed
     PINNED = {
-        "power": (3.446757408806359, [0, 2, 7, 12, 13], 10, "stable", None),
+        "power": (3.446757408806359, [0, 2, 7, 12, 13], 10, "stable", None, None),
         "sample": (3.4466696622969812, [0, 2, 7, 12, 13], 2000, None,
-                   3.4077602975084793),
-        "brute": (3.4467574088083683, [0, 2, 7, 12, 13], 16, None, None),
-        "sparse-power": (3.446757408806359, None, 10, "stable", None),
+                   3.4077602975084793, None),
+        "brute": (3.4467574088083683, [0, 2, 7, 12, 13], 16, None, None, 16),
+        "sparse-power": (3.446757408806359, None, 10, "stable", None, None),
     }
 
     @pytest.mark.parametrize("solver", sorted(PINNED))
@@ -167,13 +167,18 @@ class TestSolve:
                               "--cap", "100")
         assert code == 0
         record = json.loads(stdout)
-        objective, path, iterations, stop_reason, rank_objective = self.PINNED[solver]
+        (objective, path, iterations, stop_reason, rank_objective,
+         evaluated) = self.PINNED[solver]
         assert record["objective"] == objective
         assert record["path"] == path
         assert record["support"] == [0, 2, 7, 12, 13]
         assert record["iterations"] == iterations
         assert record.get("stop_reason") == stop_reason
         assert record.get("rank_objective") == rank_objective
+        if evaluated is None:  # only brute force decomposes paths
+            assert "evaluated" not in record
+        else:
+            assert record["evaluated"] == evaluated
 
     def test_estimate_file_round_trips(self, dataset, tmp_path, capsys):
         est = tmp_path / "estimate.txt"

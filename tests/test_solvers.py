@@ -270,18 +270,18 @@ class TestBruteForce:
         assert res.objective == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_lists_per_path_eigenvalues(self):
-        dag = build_layer_graph(12, 2, 5)
-        rng = np.random.default_rng(71)
-        sigma = random_psd(12, rng)
-        res = brute_force_solve(sigma, dag, cap=25)
-        paths = enumerate_paths(dag, cap=25)
-        expect = [float(np.linalg.eigvalsh(sigma[np.ix_(p.sorted_support(),
-                                                        p.sorted_support())])[-1])
-                  for p in paths]
-        np.testing.assert_allclose(res.trace, expect, rtol=1e-12)
+        # the trace holds the leading eigenvalue of each decomposed path, in
+        # enumeration order, as the path's own eigh gives it
+        dag = build_layer_graph(34, 4, 8)
+        sigma = _spiked(dag, 100, 71)
+        res, decomposed = _brute_recording(sigma, dag)
+        paths = enumerate_paths(dag)
+        expect = [np.linalg.eigh(sigma[np.ix_(paths[i].sorted_support(),
+                                              paths[i].sorted_support())])[0][-1]
+                  for i in decomposed]
+        assert np.array(res.trace).tobytes() == np.array(expect).tobytes()
         assert res.objective == max(res.trace)
-        assert res.objective == pytest.approx(max(expect), rel=1e-12)
-        assert res.iterations == 25
+        assert len(res.trace) < res.iterations == 4096
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(73)
@@ -338,16 +338,19 @@ class TestBruteForce:
 def _reference_brute(sigma, dag, cap=10000):
     """brute_force_solve as a loop over enumerate_paths with one eigh per
     path and a strict > (the first path wins ties): the definition the array
-    implementation must reproduce bit for bit."""
+    implementation must reproduce bit for bit. Returns x, path, objective and
+    iterations, then each path's leading eigenvalue (None where the path
+    binds no variable), in enumeration order."""
     s = prepare_covariance(sigma, dag.dim).matrix
-    best, best_obj, trace = None, -np.inf, []
+    best, best_obj, lams = None, -np.inf, []
     for path in enumerate_paths(dag, cap):
         sup = path.sorted_support()
         if sup.size == 0:
+            lams.append(None)
             continue
         evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
         lam = float(evals[-1])
-        trace.append(lam)
+        lams.append(lam)
         if lam > best_obj:
             q = evecs[:, -1]
             if q[np.argmax(np.abs(q))] < 0:
@@ -356,16 +359,48 @@ def _reference_brute(sigma, dag, cap=10000):
     path, sup, q = best
     x = np.zeros(dag.dim)
     x[sup] = q
-    return x, path, best_obj, len(trace), trace
+    return x, path, best_obj, sum(lam is not None for lam in lams), lams
 
 
-def _assert_same_as_loop(res, ref):
-    x, path, objective, iterations, trace = ref
+def _brute_recording(sigma, dag):
+    """brute_force_solve, and the ascending enumeration indices of the paths
+    whose submatrices it decomposed, each decomposed once."""
+    decomposed = []
+
+    def per_path(f, row_floats, s, var, sizes, paths):
+        if f is solvers._top_eigenvalues:
+            decomposed.extend(paths.tolist())
+        return original(f, row_floats, s, var, sizes, paths)
+
+    original = solvers._per_path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_per_path", per_path)
+        res = brute_force_solve(sigma, dag)
+    assert len(set(decomposed)) == len(decomposed)
+    return res, sorted(decomposed)
+
+
+def _assert_same_as_loop(res, decomposed, ref):
+    """x, path, objective and iterations equal the loop's bit for bit; the
+    trace is the loop's eigenvalue of each decomposed path, and every path
+    left out has an eigenvalue below the objective, so it could not have
+    won or tied."""
+    x, path, objective, iterations, lams = ref
     assert res.x.tobytes() == x.tobytes()
     assert res.path == path
     assert np.float64(res.objective).tobytes() == np.float64(objective).tobytes()
     assert res.iterations == iterations
-    assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(res.trace).tobytes() == np.array([lams[i] for i in decomposed]).tobytes()
+    left_out = set(range(len(lams))) - set(decomposed)
+    assert all(lams[i] is None or lams[i] < objective for i in left_out)
+
+
+def _spiked(dag, n, seed, beta=2.0):
+    """Empirical covariance of n samples of a spike planted on a uniformly
+    random S-T path of dag, drawn as a sweep cell draws its data."""
+    x_star, _ = random_path_vector(dag, seed=(seed, 0))
+    y = sample_spiked(SpikedModelParams(x_star=x_star, beta=beta), n, seed=(seed, 1))
+    return empirical_covariance(y)
 
 
 class TestBruteForceArray:
@@ -392,6 +427,7 @@ class TestBruteForceArray:
         yield np.zeros((p, p))  # every path ties at 0
         yield np.eye(p)  # every path ties at 1
         yield _rank_deficient(dag, rng)  # n < p
+        yield _spiked(dag, 10, int(rng.integers(1 << 30)), beta=8.0)
 
     def _cases(self):
         rng = np.random.default_rng(347)
@@ -405,21 +441,66 @@ class TestBruteForceArray:
 
     def test_equals_loop_of_eigh_bit_for_bit(self):
         for sigma, dag in self._cases():
-            _assert_same_as_loop(brute_force_solve(sigma, dag),
+            _assert_same_as_loop(*_brute_recording(sigma, dag),
                                  _reference_brute(sigma, dag))
 
+    def test_one_path_incumbent_prunes_and_keeps_the_winner(self, monkeypatch):
+        # these graphs have at most a few dozen paths, all inside the default
+        # incumbent head; a head of one path makes the bounds prune
+        monkeypatch.setattr(solvers, "_INCUMBENT_PATHS", 1)
+        pruned = 0
+        for sigma, dag in self._cases():
+            res, decomposed = _brute_recording(sigma, dag)
+            _assert_same_as_loop(res, decomposed, _reference_brute(sigma, dag))
+            pruned += len(res.trace) < res.iterations
+        assert pruned >= 40
+
     def test_ties_go_to_the_first_path(self):
+        # every path ties, so every bound reaches the incumbent: nothing prunes
         dag = build_layer_graph(34, 4, 8)
         first = enumerate_paths(dag)[0]
         for sigma in (np.zeros((34, 34)), np.eye(34)):
-            res = brute_force_solve(sigma, dag)
+            res, decomposed = _brute_recording(sigma, dag)
             assert res.path == first
-            _assert_same_as_loop(res, _reference_brute(sigma, dag))
+            assert len(res.trace) == res.iterations == 4096
+            _assert_same_as_loop(res, decomposed, _reference_brute(sigma, dag))
+
+    def test_spiked_instance_prunes(self):
+        # a sweep-sized cell: only a small share of the 4,096 paths can win,
+        # so a fall-back to decomposing every path shows here
+        dag = build_layer_graph(34, 4, 8)
+        sigma = _spiked(dag, 100, 359)
+        res, decomposed = _brute_recording(sigma, dag)
+        assert len(res.trace) < res.iterations // 4
+        _assert_same_as_loop(res, decomposed, _reference_brute(sigma, dag))
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 0, 1000])
+    def test_bounds_are_scale_safe(self, exponent):
+        # squares of entries near 2^-1000 underflow to 0 and near 2^1000
+        # overflow, so unscaled Frobenius norms would prune the winner
+        dag = build_layer_graph(34, 4, 8)
+        sigma = np.ldexp(_spiked(dag, 10, 361), exponent)
+        res, decomposed = _brute_recording(sigma, dag)
+        assert len(res.trace) < res.iterations
+        _assert_same_as_loop(res, decomposed, _reference_brute(sigma, dag))
+
+    def test_bounds_scale_per_path(self):
+        # a variance no path binds, 2^1200 times the paths' entries: scaled
+        # by it, every path's entries would underflow to bounds of 0
+        layers = build_layer_graph(34, 4, 8)
+        dag = Dag(34, layers.edges(), layers.source, layers.terminal, dim=35)
+        sigma = np.zeros((35, 35))
+        sigma[:34, :34] = np.ldexp(_spiked(layers, 10, 361), -600)
+        sigma[34, 34] = 2.0 ** 600
+        res, decomposed = _brute_recording(sigma, dag)
+        assert len(res.trace) < res.iterations
+        _assert_same_as_loop(res, decomposed, _reference_brute(sigma, dag))
 
     def test_stacks_fit_the_budget(self, monkeypatch):
         # every stacked eigh input, with its eigenvectors and eigenvalues,
-        # fits 8 * m * (2k^2 + k) <= _BLOCK_BYTES, on criterion 07's graph
-        stacks = []
+        # fits 8 * m * (2k^2 + k) <= _BLOCK_BYTES, and every bound gather,
+        # with its row sums, 8 * m * (k^2 + k), on criterion 07's graph
+        stacks, gathers = [], []
 
         def eigh(a, *args, **kwargs):
             if a.ndim == 3:
@@ -428,16 +509,28 @@ class TestBruteForceArray:
                 stacks.append(m)
             return original(a, *args, **kwargs)
 
-        original = np.linalg.eigh
+        def bounds(sub):
+            m, k, _ = sub.shape
+            assert 8 * m * (k * k + k) <= solvers._BLOCK_BYTES
+            gathers.append(m)
+            return bound(sub)
+
+        original, bound = np.linalg.eigh, solvers._eigenvalue_bounds
         dag = build_layer_graph(66, 4, 16)
         sigma = random_psd(66, np.random.default_rng(349))
         monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(solvers, "_eigenvalue_bounds", bounds)
         res = brute_force_solve(sigma, dag, cap=70000)
-        assert sum(stacks) == res.iterations == 65536
-        assert len(stacks) > 1  # chunked
-        # every chunk but the last is as wide as the budget allows
-        assert len(set(stacks[:-1])) == 1 and stacks[-1] <= stacks[0]
-        assert 8 * (stacks[0] + 1) * (2 * 36 + 6) > solvers._BLOCK_BYTES
+        assert sum(gathers) == res.iterations == 65536
+        assert sum(stacks) == len(res.trace) < res.iterations
+        # the incumbent's stack, then chunks as wide as the budget allows
+        # but the last; likewise for the bounds
+        assert stacks[0] == solvers._INCUMBENT_PATHS
+        rest = stacks[1:]
+        assert len(rest) > 1 and len(set(rest[:-1])) == 1 and rest[-1] <= rest[0]
+        assert 8 * (rest[0] + 1) * (2 * 36 + 6) > solvers._BLOCK_BYTES
+        assert len(set(gathers[:-1])) == 1 and gathers[-1] <= gathers[0]
+        assert 8 * (gathers[0] + 1) * (36 + 6) > solvers._BLOCK_BYTES
 
     @pytest.mark.parametrize("matrices", [1, 2])
     def test_independent_of_chunking(self, monkeypatch, matrices):
@@ -446,15 +539,17 @@ class TestBruteForceArray:
         sigma = _rank_deficient(dag, np.random.default_rng(353), n=5)
         want = brute_force_solve(sigma, dag)
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", matrices * 8 * (2 * 36 + 6))
-        got = brute_force_solve(sigma, dag)
-        _assert_same_as_loop(got, (want.x, want.path, want.objective,
-                                   want.iterations, want.trace))
-        _assert_same_as_loop(got, _reference_brute(sigma, dag))
+        got, decomposed = _brute_recording(sigma, dag)
+        for a, b in ((got.x, want.x), (got.objective, want.objective),
+                     (got.trace, want.trace)):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert (got.path, got.iterations) == (want.path, want.iterations)
+        _assert_same_as_loop(got, decomposed, _reference_brute(sigma, dag))
 
     def test_mixed_support_sizes_one_matrix_per_chunk(self, monkeypatch):
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
         for sigma, dag in list(self._cases())[::5]:
-            _assert_same_as_loop(brute_force_solve(sigma, dag),
+            _assert_same_as_loop(*_brute_recording(sigma, dag),
                                  _reference_brute(sigma, dag))
 
 
