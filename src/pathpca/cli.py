@@ -163,6 +163,7 @@ def cmd_solve(args) -> int:
         record["rank_objective"] = res.rank_objective
     if res.stop_reason is not None:
         record["stop_reason"] = res.stop_reason
+        record["starts"] = res.starts
     if args.solver == "brute":
         record["evaluated"] = len(res.trace)  # paths decomposed, the rest pruned
     if x_star is not None:

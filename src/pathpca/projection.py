@@ -11,8 +11,9 @@ so the winning path is the one with the largest restricted norm.
 The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
 values. Both run on a (V, B) block of weight columns at once: ``_paths``
-projects a block, and ``solvers.sample_and_project`` projects its candidates
-through it in chunks. ``project`` is the B=1 case, on 1-D arrays. There is
+projects a block, ``solvers.sample_and_project`` projects its candidates
+through it in chunks, and the power methods their running starts, one block
+per iteration. ``project`` is the B=1 case, on 1-D arrays. There is
 one DP and one walk, so single and batched projections agree bit for bit,
 tie-break included.
 """

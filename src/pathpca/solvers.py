@@ -4,7 +4,10 @@ Two heuristics and one exact reference:
 
 - ``graph_truncated_power``: power iteration with the matrix-vector product
   re-projected onto the path-supported unit vectors each step. For PSD input
-  the objective trace is nondecreasing and every iterate is feasible.
+  the objective trace is nondecreasing and every iterate is feasible. Its
+  starts run in lockstep as the columns of one block: each iteration is one
+  block DP and walk (``_paths``) over the starts still running, and only
+  the winning iterate becomes a ``Path``.
 - ``sample_and_project``: draws directions in the top rank-r eigenspace,
   projects each, and keeps the candidate with the largest ||V^T x||^2. With
   enough samples this approximates the best rank-r answer, but note it is a
@@ -28,8 +31,10 @@ Two heuristics and one exact reference:
 
 ``sparse_truncated_power`` is the unstructured k-sparse baseline: the same
 iteration with hard thresholding to the top-k magnitudes in place of the
-path projection; both power methods run one loop, ``_truncated_power``.
-Every iterate is supported on at most |path| (or k) coordinates, so a step
+path projection; both power methods run one block loop over their starts,
+``_truncated_power``, in which each start keeps its own arithmetic, so the
+result is bit for bit that of running the starts one after another. Every
+iterate is supported on at most |path| (or k) coordinates, so a step
 multiplies only the covariance rows of that support, O(p * |support|) rather
 than O(p^2), and the same product gives the step's Rayleigh quotient.
 
@@ -43,13 +48,13 @@ solvers share one validation and at most one eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
 from .graph import Dag, GraphStructureError, Path, _path_array, make_path
-from .projection import _paths, _sorted_supports, _unit_on, project
+from .projection import _paths, _sorted_supports, _unit_on
 
 # Byte budget of the arrays sample_and_project draws, projects and scores
 # each chunk of its candidates in (see _block_width), and of each stack of
@@ -129,7 +134,9 @@ class EstimateResult:
     "max_iters", see ``_truncated_power``) and ``degenerate``, the number of
     iterates whose path projection fell back to the uniform loading
     (``ProjectedVector.degenerate``; always 0 for the sparse baseline); both,
-    like the trace, are the winning start's."""
+    like the trace, are the winning start's. ``starts`` holds one
+    (objective, iterations, stop_reason) per start, in start order; the
+    winner is the first maximum of the objectives."""
 
     x: np.ndarray
     path: Path | None
@@ -139,6 +146,7 @@ class EstimateResult:
     rank_objective: float | None = None
     stop_reason: str | None = None
     degenerate: int = 0
+    starts: list[tuple[float, int, str]] | None = None
 
 
 def _starts(s: np.ndarray, cfg: PowerMethodConfig):
@@ -150,86 +158,106 @@ def _starts(s: np.ndarray, cfg: PowerMethodConfig):
         yield np.random.default_rng(key + (j, 0)).standard_normal(s.shape[0])
 
 
-def _power_from(s: np.ndarray, step, w: np.ndarray, cfg: PowerMethodConfig):
-    """One start of ``_truncated_power`` from the start weight w; returns its
-    best iterate (first on ties) and that iterate's path as a result."""
-    x, idx, path, degenerate = step(w)
-    u = x[idx] @ s[idx]
-    best_obj = float(x[idx] @ u[idx])
-    trace = [best_obj]
-    best_x, best_path = x, path
-    stable, stop_reason = 0, "max_iters"
-    for iterations in range(1, cfg.max_iters + 1):
-        nxt, nxt_idx, path, deg = step(u)
-        degenerate += deg
-        u = nxt[nxt_idx] @ s[nxt_idx]
-        obj = float(nxt[nxt_idx] @ u[nxt_idx])
-        trace.append(obj)
-        if obj > best_obj:
-            best_x, best_obj, best_path = nxt, obj, path
-        del path  # keep no path but the best one
-        moved = float(np.linalg.norm(nxt - x))
-        if np.array_equal(nxt_idx, idx) and abs(obj - trace[-2]) <= cfg.tol:
-            stable += 1
+class _Start:
+    """One start of ``_truncated_power``: its iterate x with support idx, the
+    product u = s @ x, the best iterate so far (first on ties) with the walk
+    rows of its path, its trace, stop counter and diagnostics."""
+
+    def __init__(self, s: np.ndarray, x, idx, degenerate, rows):
+        self.s, self.x, self.idx, self.degenerate = s, x, idx, degenerate
+        self.u = x[idx] @ s[idx]
+        self.best_obj = float(x[idx] @ self.u[idx])
+        self.best_x, self.best_rows = x, rows
+        self.trace = [self.best_obj]
+        self.stable, self.iterations, self.stop_reason = 0, 0, "max_iters"
+
+    def advance(self, nxt, nxt_idx, deg, rows, tol: float) -> bool:
+        """Take ``nxt``, the projection of u; True once the start stops."""
+        self.iterations += 1
+        self.degenerate += deg
+        self.u = nxt[nxt_idx] @ self.s[nxt_idx]
+        obj = float(nxt[nxt_idx] @ self.u[nxt_idx])
+        self.trace.append(obj)
+        if obj > self.best_obj:
+            self.best_x, self.best_obj, self.best_rows = nxt, obj, rows
+        moved = float(np.linalg.norm(nxt - self.x))
+        same = np.array_equal(nxt_idx, self.idx)
+        if same and abs(obj - self.trace[-2]) <= tol:
+            self.stable += 1
         else:
-            stable = 0
-        x, idx = nxt, nxt_idx
-        if moved <= cfg.tol:
-            stop_reason = "step"
-            break
-        if stable >= 2:
-            stop_reason = "stable"
-            break
-    return EstimateResult(x=best_x, path=best_path, objective=best_obj,
-                          iterations=iterations, trace=trace,
-                          stop_reason=stop_reason, degenerate=degenerate)
+            self.stable = 0
+        self.x, self.idx = nxt, nxt_idx
+        if moved <= tol:
+            self.stop_reason = "step"
+        elif self.stable >= 2:
+            self.stop_reason = "stable"
+        else:
+            return False
+        return True
 
 
-def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None):
+def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None,
+                     path_of=lambda rows: None) -> EstimateResult:
     """Truncated power iteration x <- step(s @ x) for both power methods,
-    from every start of ``cfg``.
+    from every start of ``cfg`` in lockstep.
 
-    ``step(w)`` returns ``(x, idx, path, degenerate)``: the feasible unit
-    vector nearest w, the ascending indices ``idx`` of its support (an int
-    array that holds every nonzero of x), its ``Path`` (None for the sparse
-    baseline; the result carries the best iterate's, and no other is kept),
-    and whether the step fell back to a degenerate loading. A start's weight
-    is stepped first and counts in the trace. A weight whose squares could
-    sum past float max (largest square at least float max / p, possible near
-    the top of the range ``prepare_covariance`` accepts) is stepped times
-    the power of two that brings its largest magnitude into [0.5, 1): an
-    exact scaling of the same direction, so the same step; other weights
-    are stepped as they are. Each iterate is multiplied only on its support: ``u = x[idx] @
-    s[idx]`` gathers |idx| rows and equals ``s @ x`` because s is exactly
-    symmetric, the Rayleigh quotient is read off as ``x[idx] @ u[idx]``, and
-    u is the next step's input, so an iteration costs one O(p * |idx|)
-    product.
+    The starts (see ``_starts``) are the columns of one (p, B) block of
+    weights, and ``step(w)`` projects every column of it at once. It returns
+    one ``(x, idx, degenerate, rows)`` per column: the feasible unit vector
+    nearest the column, the ascending indices ``idx`` of its support (an int
+    array that holds every nonzero of x), whether the projection fell back
+    to a degenerate loading, and the walk rows of its path (None for the
+    sparse baseline or a fallback path). Only the winner's rows become a
+    ``Path``, by ``path_of``. A start's weight is stepped first and counts in
+    the trace. A weight whose squares could sum past float max (largest
+    square at least float max / p, possible near the top of the range
+    ``prepare_covariance`` accepts) is stepped times the power of two that
+    brings its largest magnitude into [0.5, 1): an exact scaling of the same
+    direction, so the same step; other weights are stepped as they are.
 
-    A start stops when the iterate moves less than ``tol`` (stop reason
-    "step"), when the support has been stable for two consecutive steps with
-    objective change at most ``tol`` ("stable"), or at ``max_iters``
-    ("max_iters"). The starts run one after another (see ``_starts``); the
-    best objective wins, the earliest start on ties, with its x, path, trace,
-    stop reason and degenerate count, and the iterations are summed over all
-    starts. While a start runs, only the best of the finished starts is kept.
+    Each column keeps its own arithmetic (``_Start``), so its bits do not
+    depend on the other starts: an iterate is multiplied only on its
+    support, ``u = x[idx] @ s[idx]`` gathers |idx| rows and equals ``s @ x``
+    because s is exactly symmetric, the Rayleigh quotient is read off as
+    ``x[idx] @ u[idx]``, and u is the next step's input, so an iteration
+    costs one O(p * |idx|) product per column. A start stops when its
+    iterate moves less than ``tol`` (stop reason "step"), when its support
+    has been stable for two consecutive steps with objective change at most
+    ``tol`` ("stable"), or at ``max_iters`` ("max_iters"); the block then
+    shrinks to the starts still running.
+
+    The best objective wins, the earliest start on ties, with its x, path,
+    trace, stop reason and degenerate count; the iterations are summed over
+    all starts, and ``starts`` holds each start's (best objective,
+    iterations, stop reason) in start order.
     """
     cfg = cfg if cfg is not None else PowerMethodConfig()
     limit = np.finfo(float).max / s.shape[0]
 
-    def fitted_step(w):
+    def fitted(w):
         top = float(np.abs(w).max())
-        if top * top < limit:
-            return step(w)
-        return step(np.ldexp(w, -np.frexp(top)[1]))
+        return w if top * top < limit else np.ldexp(w, -np.frexp(top)[1])
 
-    best, iterations = None, 0
-    for w in _starts(s, cfg):
-        res = _power_from(s, fitted_step, w, cfg)
-        iterations += res.iterations
-        if best is None or res.objective > best.objective:
-            best = res
-        del res  # keep no start but the best one
-    return replace(best, iterations=iterations)
+    block = np.column_stack([fitted(w) for w in _starts(s, cfg)])
+    runs = [_Start(s, *col) for col in step(block)]
+    active = runs
+    for _ in range(cfg.max_iters):
+        block = np.column_stack([fitted(r.u) for r in active])
+        active = [r for r, col in zip(active, step(block))
+                  if not r.advance(*col, cfg.tol)]
+        if not active:
+            break
+    best = runs[0]
+    for r in runs[1:]:
+        if r.best_obj > best.best_obj:  # the first maximum: ties go first
+            best = r
+    return EstimateResult(x=best.best_x, path=path_of(best.best_rows),
+                          objective=best.best_obj,
+                          iterations=sum(r.iterations for r in runs),
+                          trace=best.trace, stop_reason=best.stop_reason,
+                          degenerate=best.degenerate,
+                          starts=[(r.best_obj, r.iterations, r.stop_reason)
+                                  for r in runs])
 
 
 def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
@@ -238,18 +266,34 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
 
     Each step projects sigma @ x back onto the feasible set; the starts, the
     support-restricted products and the stopping rules are those of
-    ``_truncated_power``. Returns the best-objective iterate seen, which the
-    nondecreasing trace makes the last one of its start in exact arithmetic.
+    ``_truncated_power``. A step is one block DP and walk over the running
+    starts (``_paths``), each column then normalized on its path support
+    (``_unit_on``), or on ``Dag._first_bound_path`` when its weight vanishes
+    on every path, bit for bit what ``project`` gives the column. Returns
+    the best-objective iterate seen, which the nondecreasing trace makes the
+    last one of its start in exact arithmetic.
 
     Requires PSD input; that is what makes the trace monotone.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
 
     def step(w):
-        pv = project(dag, w)
-        return pv.x, pv.path.sorted_support(), pv.path, pv.degenerate
+        verts, sup, counts = _paths(dag, w)
+        out = []
+        for j, c in enumerate(counts.tolist()):
+            if c:
+                idx, rows = sup[:c, j], verts[:, j]
+            else:  # w vanishes on every path, whose tie-break binds nothing
+                idx, rows = dag._first_bound_path.sorted_support(), None
+            x, deg = _unit_on(w[:, j], idx)
+            out.append((x, idx, deg, rows))
+        return out
 
-    return _truncated_power(s, step, config)
+    def path_of(rows):
+        return (dag._first_bound_path if rows is None
+                else make_path(dag, rows[rows >= 0], check=False))
+
+    return _truncated_power(s, step, config, path_of)
 
 
 def _directions(rng: np.random.Generator, count: int, rank: int) -> np.ndarray:
@@ -497,9 +541,10 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
                            config: PowerMethodConfig | None = None) -> EstimateResult:
     """k-sparse truncated power baseline: thresholding instead of a graph.
 
-    Same loop and starts as ``graph_truncated_power`` with the projection
-    replaced by keep-top-k-and-normalize; the diagonal start keeps the top k
-    entries of the max-diagonal column. The result has ``path=None``; its support is any k
+    Same lockstep loop and starts as ``graph_truncated_power`` with the
+    projection replaced by keep-top-k-and-normalize (``_top_k_unit``, per
+    column of the block); the diagonal start keeps the top k entries of the
+    max-diagonal column. The result has ``path=None``; its support is any k
     coordinates. With k = p this is plain power iteration.
     """
     s = prepare_covariance(sigma).matrix
@@ -508,7 +553,7 @@ def sparse_truncated_power(sigma: np.ndarray | Covariance, k: int,
         raise ValueError(f"k must be in 1..{p}")
 
     def step(w):
-        x = _top_k_unit(w, k)
-        return x, np.flatnonzero(x), None, False
+        xs = [_top_k_unit(col, k) for col in w.T]
+        return [(x, np.flatnonzero(x), False, None) for x in xs]
 
     return _truncated_power(s, step, config)

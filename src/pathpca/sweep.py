@@ -18,7 +18,10 @@ The power methods are local, so each cell runs them from the diagonal start
 plus ``restarts`` seeded random starts and keeps the best objective. A single
 diagonal start stalls far from the planted path on wide graphs (millions of
 paths) even when the restricted problem is easy; a handful of restarts fixes
-that at known cost. The reported iteration count sums all starts.
+that at known cost. The starts run in lockstep, one batched projection per
+iteration (see ``solvers._truncated_power``). The reported iteration count
+sums all starts; the sidecar's ``row_starts`` lists each power row's starts
+as (objective, iterations, stop reason), and is null for the other rows.
 
 ``_run_one`` is the one solver dispatch; ``pathpca solve`` calls it with no
 restarts. Every default lives on ``SweepConfig``; ``solver_configs`` checks
@@ -130,6 +133,7 @@ class ResultRecord:
     jaccard: float | None
     iterations: int | None
     wall_time: float
+    starts: list[tuple[float, int, str]] | None = None
 
 
 def nearest_divisor_layers(p: int) -> int:
@@ -274,7 +278,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
                     trial=trial, n=n, solver=solver, seed=cseed, status="ok",
                     objective=res.objective, projector_loss=rep.projector_loss,
                     jaccard=rep.jaccard, iterations=res.iterations,
-                    wall_time=time.perf_counter() - t1))
+                    wall_time=time.perf_counter() - t1, starts=res.starts))
             cell_prepare_s.append(prepare_s)
     resolved = {
         "version": __version__,
@@ -301,6 +305,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
                        "sparse-restarts=(cell,4,j)",
         "total_wall_time_s": time.perf_counter() - t0,
         "row_wall_time_s": [r.wall_time for r in records],
+        "row_starts": [r.starts for r in records],
         "cell_prepare_s": cell_prepare_s,
     }
     return records, resolved

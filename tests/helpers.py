@@ -188,19 +188,29 @@ def count_factorizations(monkeypatch, p: int) -> dict[str, int]:
 
 
 def record_projections(monkeypatch) -> list:
-    """Record, from this call on, every ``ProjectedVector`` the power method
-    makes (through ``solvers.project``), in order, in the returned list."""
-    from pathpca import solvers
+    """Record, from this call on, the projection of every column of each
+    ``solvers._paths`` block (the power methods' iterates: per iteration,
+    the running starts in start order), in order, in the returned list. A
+    column's ``ProjectedVector`` is built from the block's walk rows as
+    ``project`` builds it: its path, or ``Dag._first_bound_path`` when the
+    path binds nothing, and ``_unit_on`` of the column on that path."""
+    from pathpca import make_path, solvers
+    from pathpca.projection import ProjectedVector, _unit_on
 
     made = []
-    project = solvers.project
+    paths = solvers._paths
 
     def recorded(dag, w):
-        pv = project(dag, w)
-        made.append(pv)
-        return pv
+        verts, sup, counts = paths(dag, w)
+        for j in range(w.shape[1]):
+            rows = verts[:, j]
+            path = (make_path(dag, rows[rows >= 0], check=False) if counts[j]
+                    else dag._first_bound_path)
+            x, degenerate = _unit_on(w[:, j], path.sorted_support())
+            made.append(ProjectedVector(x=x, path=path, degenerate=degenerate))
+        return verts, sup, counts
 
-    monkeypatch.setattr(solvers, "project", recorded)
+    monkeypatch.setattr(solvers, "_paths", recorded)
     return made
 
 
@@ -210,3 +220,75 @@ def one_start(monkeypatch, w):
     from pathpca import solvers
 
     monkeypatch.setattr(solvers, "_starts", lambda s, cfg: iter([w]))
+
+
+def _power_from(s: np.ndarray, step, w: np.ndarray, cfg):
+    """One start of the sequential power loop from the start weight w;
+    returns its best iterate (first on ties) and that iterate's path."""
+    from pathpca.solvers import EstimateResult
+
+    x, idx, path, degenerate = step(w)
+    u = x[idx] @ s[idx]
+    best_obj = float(x[idx] @ u[idx])
+    trace = [best_obj]
+    best_x, best_path = x, path
+    stable, stop_reason = 0, "max_iters"
+    for iterations in range(1, cfg.max_iters + 1):
+        nxt, nxt_idx, path, deg = step(u)
+        degenerate += deg
+        u = nxt[nxt_idx] @ s[nxt_idx]
+        obj = float(nxt[nxt_idx] @ u[nxt_idx])
+        trace.append(obj)
+        if obj > best_obj:
+            best_x, best_obj, best_path = nxt, obj, path
+        moved = float(np.linalg.norm(nxt - x))
+        if np.array_equal(nxt_idx, idx) and abs(obj - trace[-2]) <= cfg.tol:
+            stable += 1
+        else:
+            stable = 0
+        x, idx = nxt, nxt_idx
+        if moved <= cfg.tol:
+            stop_reason = "step"
+            break
+        if stable >= 2:
+            stop_reason = "stable"
+            break
+    return EstimateResult(x=best_x, path=best_path, objective=best_obj,
+                          iterations=iterations, trace=trace,
+                          stop_reason=stop_reason, degenerate=degenerate)
+
+
+def sequential_power(sigma, dag: Dag | None, k: int | None, cfg=None):
+    """The power methods with their starts run one after another, one B=1
+    ``project`` (or ``_top_k_unit``) per iteration: ``graph_truncated_power``
+    when ``dag`` is given, else ``sparse_truncated_power`` with support size
+    k. Each start runs ``_power_from``, rescaling a near-overflow weight by
+    a power of two; the first start with the largest objective wins, and
+    the iterations are summed over all starts."""
+    from dataclasses import replace
+
+    from pathpca import project, solvers
+    from pathpca.data import prepare_covariance
+
+    cfg = cfg if cfg is not None else solvers.PowerMethodConfig()
+    s = prepare_covariance(sigma, None if dag is None else dag.dim).matrix
+    limit = np.finfo(float).max / s.shape[0]
+
+    def step(w):
+        top = float(np.abs(w).max())
+        if top * top >= limit:
+            w = np.ldexp(w, -np.frexp(top)[1])
+        if dag is None:
+            x = solvers._top_k_unit(w, k)
+            return x, np.flatnonzero(x), None, False
+        pv = project(dag, w)
+        return pv.x, pv.path.sorted_support(), pv.path, pv.degenerate
+
+    runs = [_power_from(s, step, w, cfg) for w in solvers._starts(s, cfg)]
+    best = runs[0]
+    for res in runs[1:]:
+        if res.objective > best.objective:
+            best = res
+    return replace(best, iterations=sum(r.iterations for r in runs),
+                   starts=[(r.objective, r.iterations, r.stop_reason)
+                           for r in runs])

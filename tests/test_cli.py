@@ -180,6 +180,22 @@ class TestSolve:
         else:
             assert record["evaluated"] == evaluated
 
+    @pytest.mark.parametrize("solver", sorted(PINNED))
+    def test_record_pins_starts(self, dataset, capsys, solver):
+        # the power methods record each start's (objective, iterations, stop
+        # reason); `pathpca solve` runs one start, the diagonal one
+        code, stdout, _ = run(capsys, "solve", "--graph", str(dataset / "graph.txt"),
+                              "--data", str(dataset / "samples.csv"),
+                              "--solver", solver,
+                              "--x-star", str(dataset / "x_star.txt"),
+                              "--cap", "100")
+        assert code == 0
+        record = json.loads(stdout)
+        if solver in ("power", "sparse-power"):
+            assert record["starts"] == [[3.446757408806359, 10, "stable"]]
+        else:
+            assert "starts" not in record
+
     def test_estimate_file_round_trips(self, dataset, tmp_path, capsys):
         est = tmp_path / "estimate.txt"
         code, stdout, _ = run(capsys, "solve", "--graph", str(dataset / "graph.txt"),

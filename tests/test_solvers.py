@@ -2,7 +2,6 @@
 and the unstructured sparse baseline."""
 
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from pathpca.data import seed_key
 
 from helpers import (assert_feasible, count_factorizations, one_start,
                      oracle_best_rayleigh, random_dag, random_psd,
-                     record_projections)
+                     record_projections, sequential_power)
 
 
 def diamond():
@@ -888,18 +887,16 @@ class TestSupportRestrictedLoop:
         assert sparse_truncated_power(np.zeros((12, 12)), 3).degenerate == 0
 
     def test_keeps_only_the_best_iterate(self, monkeypatch):
-        # whenever a projection is made, at most the best iterate of the
-        # finished starts and the running start's own best are alive: memory
-        # stays flat in the iterations and the starts
-        refs, alive = [], []
+        # every start keeps the walk rows of its best iterate, and only the
+        # winner's become a Path: make_path runs once per solve, whatever
+        # the iterations and starts, and the result is the untracked one
+        made = []
 
-        def tracked(dag_, w):
-            alive.append(sum(r() is not None for r in refs))
-            pv = original(dag_, w)
-            refs.append(weakref.ref(pv.path))
-            return pv
+        def counted(*args, **kwargs):
+            made.append(args[1])
+            return original(*args, **kwargs)
 
-        original = solvers.project
+        original = solvers.make_path
         dag = build_layer_graph(130, 8, 4)
         x_star, _ = random_path_vector(dag, seed=409)
         sigma = empirical_covariance(sample_spiked(
@@ -908,17 +905,115 @@ class TestSupportRestrictedLoop:
         # where the best iterate is not the latest one
         for restarts in (0, 3):
             cfg = PowerMethodConfig(restarts=restarts, seed=3, tol=1e-300)
-            refs.clear()
-            alive.clear()
+            made.clear()
             with monkeypatch.context() as m:
-                m.setattr(solvers, "project", tracked)
+                m.setattr(solvers, "make_path", counted)
                 res = graph_truncated_power(sigma, dag, cfg)
-            assert len(alive) == res.iterations + 1 + restarts
-            assert max(alive) == (1 if restarts == 0 else 2)
+            assert len(made) == 1
+            assert res.iterations > 1 + restarts
+            assert tuple(made[0].tolist()) == res.path.vertices
             untracked = graph_truncated_power(sigma, dag, cfg)
             assert untracked.x.tobytes() == res.x.tobytes()
             assert (untracked.trace, untracked.path) == (res.trace, res.path)
             assert res.trace.index(max(res.trace)) < len(res.trace) - 1
+
+
+def _assert_identical(got, want):
+    # x, trace, objectives and per-start diagnostics byte for byte
+    def floats(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    assert got.x.tobytes() == want.x.tobytes()
+    assert floats(got.trace) == floats(want.trace)
+    assert floats(got.objective) == floats(want.objective)
+    assert (got.iterations, got.stop_reason, got.degenerate, got.path) == \
+        (want.iterations, want.stop_reason, want.degenerate, want.path)
+    assert floats([o for o, _, _ in got.starts]) == \
+        floats([o for o, _, _ in want.starts])
+    assert got.starts == want.starts
+
+
+class TestLockstep:
+    """The power methods run all starts in lockstep, as the columns of one
+    block; they must equal ``sequential_power``, the starts one after
+    another with one ``project`` per iteration, byte for byte."""
+
+    def _check(self, sigma, dag, k, cfg):
+        got = graph_truncated_power(sigma, dag, cfg)
+        _assert_identical(got, sequential_power(sigma, dag, None, cfg))
+        sparse = sparse_truncated_power(sigma, k, cfg)
+        _assert_identical(sparse, sequential_power(sigma, None, k, cfg))
+        return got, sparse
+
+    def test_equals_sequential_starts(self):
+        # columns retire at different iterations: few iterations stop many
+        # starts at "max_iters", many let each stop at its own rule
+        rng = np.random.default_rng(471)
+        retired_apart = 0
+        for t, (dag, sigma) in enumerate(_power_cases(rng, 16)):
+            k = int(rng.integers(1, dag.dim + 1))
+            for restarts in (0, 1, 5):
+                for max_iters in (1, 6, 1000):
+                    cfg = PowerMethodConfig(max_iters=max_iters,
+                                            restarts=restarts, seed=(t, 5))
+                    got, _ = self._check(sigma, dag, k, cfg)
+                    assert len(got.starts) == restarts + 1
+                    assert got.iterations == sum(i for _, i, _ in got.starts)
+                    retired_apart += len({i for _, i, _ in got.starts}) > 1
+        assert retired_apart > 0
+
+    def test_one_block_per_iteration(self, monkeypatch):
+        # each iteration projects the running starts as one block, which
+        # shrinks as starts stop: the start block holds every start, and
+        # block i the starts that run at least i iterations
+        widths = []
+
+        def counted(dag_, w):
+            widths.append(w.shape[1])
+            return original(dag_, w)
+
+        original = solvers._paths
+        monkeypatch.setattr(solvers, "_paths", counted)
+        rng = np.random.default_rng(475)
+        for dag, sigma in _power_cases(rng, 8):
+            widths.clear()
+            res = graph_truncated_power(
+                sigma, dag, PowerMethodConfig(restarts=5, seed=1))
+            runs = [i for _, i, _ in res.starts]
+            assert widths == [6] + [sum(r >= i for r in runs)
+                                    for i in range(1, max(runs) + 1)]
+
+    def test_ties_go_to_the_earliest_start(self):
+        # a zero covariance ties every start at objective 0: the diagonal
+        # start wins, with its own degenerate count
+        rng = np.random.default_rng(473)
+        for _ in range(4):
+            dag = random_dag(rng, max_interior=16)
+            sigma = np.zeros((dag.dim, dag.dim))
+            cfg = PowerMethodConfig(restarts=5, seed=2)
+            got, sparse = self._check(sigma, dag, min(3, dag.dim), cfg)
+            for res in (got, sparse):
+                assert [o for o, _, _ in res.starts] == [0.0] * 6
+            alone = graph_truncated_power(sigma, dag, replace(cfg, restarts=0))
+            assert got.x.tobytes() == alone.x.tobytes()
+            assert got.degenerate == alone.degenerate
+
+    def test_rescaled_and_unscaled_columns(self):
+        # TestTopOfCovarianceRange's scaled covariance: the diagonal start's
+        # squares could overflow, so its column is rescaled, while the
+        # random starts' columns are stepped as they are
+        dag = build_layer_graph(6, 2, 2)
+        top = np.finfo(float).max / 12
+        limit = np.finfo(float).max / 6
+        cfg = PowerMethodConfig(tol=1e-12, restarts=3)
+        for seed in range(10):
+            s = random_psd(6, np.random.default_rng(seed))
+            big = s * 2.0**int(np.floor(np.log2(top / np.abs(s).max())))
+            tops = [float(np.abs(w).max()) for w in solvers._starts(big, cfg)]
+            assert tops[0] * tops[0] >= limit
+            assert all(t * t < limit for t in tops[1:])
+            for k in (2, 3):
+                self._check(big, dag, k, cfg)
 
 
 class TestTopOfCovarianceRange:

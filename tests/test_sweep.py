@@ -352,6 +352,34 @@ class TestCsvAndSidecar:
         assert len(prep) == 1
         assert 0 <= prep[0] <= rows[0]
 
+    def test_sidecar_row_starts(self, tmp_path):
+        # one entry per CSV row: each power start's (objective, iterations,
+        # stop reason) in start order, null for brute force and the sampler;
+        # the row's objective is the first maximum, its iterations the sum
+        import json
+        records, resolved = run_sweep(small_cfg(n_grid=[40], trials=1))
+        f = tmp_path / "out.json"
+        write_sidecar(resolved, f)
+        starts = json.loads(f.read_text())["row_starts"]
+        assert [r.solver for r in records] == ["brute", "power", "sample",
+                                               "sparse-power"]
+        assert starts[0] is None and starts[2] is None
+        assert starts[1] == [
+            [3.138460426189446, 10, "stable"], [1.389929946690729, 102, "stable"],
+            [3.1384604261948796, 14, "stable"], [3.138460426196542, 33, "stable"],
+            [1.3899299464356534, 77, "stable"], [1.3899299466500932, 92, "stable"]]
+        assert starts[3] == [
+            [3.4758356498509637, 13, "stable"], [3.4548644501279338, 13, "stable"],
+            [3.4758356498393526, 15, "stable"], [3.4758356498373084, 18, "stable"],
+            [3.4758356498334777, 19, "stable"], [3.4758356498487593, 16, "stable"]]
+        for rec, row in zip(records[1::2], starts[1::2]):
+            objs = [o for o, _, _ in row]
+            assert rec.objective == max(objs)
+            assert rec.iterations == sum(i for _, i, _ in row)
+        # the power row's winner is its fourth start, the sparse row's its first
+        assert records[1].objective == starts[1][3][0]
+        assert records[3].objective == starts[3][0][0]
+
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 GOLDEN_CONFIGS = {
