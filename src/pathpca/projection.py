@@ -10,12 +10,12 @@ so the winning path is the one with the largest restricted norm.
 
 The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
-values. Both run on a (V, B) block of weight columns at once: ``_paths``
-projects a block, ``solvers.sample_and_project`` projects its candidates
-through it in chunks, and the power methods their running starts, one block
-per iteration. ``project`` is the B=1 case, on 1-D arrays. There is
-one DP and one walk, so single and batched projections agree bit for bit,
-tie-break included.
+values. ``_paths`` is the one pipeline that runs them, for a (dim,) vector
+or the columns of a (dim, B) block alike: DP, overflow check, walk, sorted
+supports and the degenerate fallback. ``project`` is its one-column case,
+the sampler projects its candidates through it in chunks and the power
+methods their running starts, one block per iteration, so single and
+batched projections agree bit for bit, tie-break included.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def _vertex_weights(dag: Dag, w: np.ndarray) -> np.ndarray:
 
 def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
     """best[v] = max over S-T-suffix paths starting at v of the summed vertex
-    weight, -inf where the terminal is unreachable; per column of a (V, B)
-    block."""
+    weight, -inf where the terminal is unreachable; for a (V,) vector or per
+    column of a (V, B) block."""
     best = np.full(vw.shape, -np.inf)
     best[dag.terminal] = vw[dag.terminal]
     for ed, offs, src in dag._projection_plan:
@@ -57,21 +57,19 @@ def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
 
 
 def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
-    """Greedy descent through the DP values, every column of ``best`` at once.
+    """Greedy descent through the (V, B) DP values, every column at once.
 
     Each step moves each column that has not reached the terminal to its
     smallest out-neighbor attaining the largest ``best``; this yields the
-    lexicographically smallest maximizing path. Returns the vertex sequence
-    for a 1-D ``best``; for a (V, B) block, an (L, B) array whose column j is
-    path j padded with -1 after its terminal.
+    lexicographically smallest maximizing path. Returns an (L, B) array
+    whose column j is path j padded with -1 after its terminal.
     """
     # A finite best[source] means every vertex the walk visits before the
     # terminal has a successor with finite best, so the steps need no checks.
     if (best[dag.source] == -np.inf).any():
         raise GraphStructureError("terminal unreachable from source")
-    cols = best.shape[1] if best.ndim == 2 else 1
-    act = np.arange(cols)
-    cur = np.full(cols, dag.source, dtype=np.int64)
+    act = np.arange(best.shape[1])
+    cur = np.full(act.size, dag.source, dtype=np.int64)
     steps = []
     while True:
         done = cur == dag.terminal
@@ -80,15 +78,15 @@ def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
             if not act.size:
                 break
         cnt, offs, nb = _csr_gather(dag._indptr, dag._indices, cur)
-        vals = best[nb] if best.ndim == 1 else best[nb, np.repeat(act, cnt)]
+        vals = best[nb, np.repeat(act, cnt)]
         hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, offs), cnt))
         cur = nb[hit[np.searchsorted(hit, offs)]]
         steps.append((act, cur))
-    out = np.full((len(steps) + 1, cols), -1, dtype=np.int64)
+    out = np.full((len(steps) + 1, best.shape[1]), -1, dtype=np.int64)
     out[0] = dag.source
     for row, (a, v) in enumerate(steps, 1):
         out[row, a] = v
-    return out if best.ndim == 2 else out[:, 0]
+    return out
 
 
 def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,12 +103,34 @@ def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best paths of the columns of a (dim, B) weight block, squared as in
-    ``project``: the walk's (L, B) vertex rows, then ``_sorted_supports``."""
+    """Best paths of a (dim,) weight vector or the columns of a (dim, B)
+    block: the walk's (L, B) vertex rows and their ``_sorted_supports``. The
+    DP runs on the squares in the shape of w; the walk reads it as (V, B). A
+    column that vanishes on every path, whose tie-break path binds nothing,
+    takes ``Dag._first_bound_path`` (both arrays grow when it is longer), so
+    no count is 0. ValueError when a column's squares overflow or no S-T
+    path binds a variable."""
     vw = _vertex_weights(dag, w)
     np.square(vw, out=vw)
-    verts = _walk(dag, _best_to_terminal(dag, vw))
-    return (verts,) + _sorted_supports(dag, verts)
+    best = _best_to_terminal(dag, vw)
+    if not np.all(best[dag.source] < np.inf):  # +inf or nan: a square overflowed
+        raise ValueError("input vector too large: its squares overflow")
+    verts = _walk(dag, best.reshape(dag.vertex_count, -1))
+    sup, counts = _sorted_supports(dag, verts)
+    bare = counts == 0
+    if bare.any():
+        first = np.array(dag._first_bound_path.vertices)
+        extra = max(0, first.size - verts.shape[0])
+        verts = np.pad(verts, ((0, extra), (0, 0)), constant_values=-1)
+        verts[:, bare] = -1
+        verts[:first.size, bare] = first[:, None]
+        sup, counts = _sorted_supports(dag, verts)
+    return verts, sup, counts
+
+
+def _row_path(dag: Dag, col: np.ndarray) -> Path:
+    """The ``Path`` of one column of ``_paths``' vertex rows."""
+    return make_path(dag, col[col >= 0], check=False)
 
 
 def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -128,32 +148,22 @@ def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def project(dag: Dag, w: np.ndarray) -> ProjectedVector:
-    """Euclidean projection of w onto the unit vectors with S-T path support.
-
-    Returns the unit vector x maximizing w^T x subject to supp(x) lying
-    within a single S-T path: w restricted to the best path (largest
-    restricted 2-norm, squared weights fed to the path DP) and normalized.
+    """Euclidean projection of w onto the unit vectors with S-T path support:
+    the unit x maximizing w^T x, w restricted to the path of largest
+    restricted 2-norm and normalized; the one-column case of ``_paths``.
 
     If w vanishes on every bound vertex of every path, the result is flagged
-    degenerate: a uniform loading on the bound vertices of the tie-break path
-    (the lexicographically smallest one), or, when that path binds no
-    variable, of the lexicographically first S-T path that binds one
-    (``Dag._first_bound_path``). ValueError if no S-T path binds a variable,
-    since no unit vector exists then, and for a w that is not finite or whose
-    squares overflow.
+    degenerate: the uniform loading on the bound vertices of the tie-break
+    (lexicographically smallest) path, or, when that binds no variable, of
+    ``Dag._first_bound_path``. ValueError if no S-T path binds a variable
+    (no unit vector exists then), or if w is not finite or its squares
+    overflow.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (dag.dim,):
         raise ValueError(f"expected a vector of length {dag.dim}, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("input vector must be finite")
-    vw = _vertex_weights(dag, w)
-    np.square(vw, out=vw)
-    best = _best_to_terminal(dag, vw)
-    if not best[dag.source] < np.inf:  # +inf or nan: a square overflowed
-        raise ValueError("input vector too large: its squares overflow")
-    path = make_path(dag, _walk(dag, best), check=False)
-    if not path.support:  # w vanishes on every path; the tie-break binds nothing
-        path = dag._first_bound_path
-    x, degenerate = _unit_on(w, path.sorted_support())
-    return ProjectedVector(x=x, path=path, degenerate=degenerate)
+    verts, sup, counts = _paths(dag, w)
+    x, degenerate = _unit_on(w, sup[:counts[0], 0])
+    return ProjectedVector(x=x, path=_row_path(dag, verts[:, 0]), degenerate=degenerate)

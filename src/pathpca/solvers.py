@@ -6,15 +6,15 @@ Two heuristics and one exact reference:
   re-projected onto the path-supported unit vectors each step. For PSD input
   the objective trace is nondecreasing and every iterate is feasible. Its
   starts run in lockstep as the columns of one block: each iteration is one
-  block DP and walk (``_paths``) over the starts still running, and only
-  the winning iterate becomes a ``Path``.
+  ``_paths`` block over the starts still running, and only the winning
+  iterate becomes a ``Path``.
 - ``sample_and_project``: draws directions in the top rank-r eigenspace,
   projects each, and keeps the candidate with the largest ||V^T x||^2. With
   enough samples this approximates the best rank-r answer, but note it is a
   poor fit for spiked covariances at scale, where the useful rank grows with
   the dimension. All directions come from one stream keyed by the seed, the
   columns of one (budget, rank) draw. The candidates run as block
-  arithmetic in chunks: one block DP and walk per chunk, then each column's
+  arithmetic in chunks: one ``_paths`` block per chunk, then each column's
   weights gathered on its path support and scored there; each chunk's
   arrays fit the budget ``_BLOCK_BYTES``.
 - ``brute_force_solve``: per-path leading eigenvalues over an enumeration of
@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
-from .graph import Dag, GraphStructureError, Path, _path_array, make_path
-from .projection import _paths, _sorted_supports, _unit_on
+from .graph import Dag, GraphStructureError, Path, _path_array
+from .projection import _paths, _row_path, _sorted_supports, _unit_on
 
 # Byte budget of the arrays sample_and_project draws, projects and scores
 # each chunk of its candidates in (see _block_width), and of each stack of
@@ -206,11 +206,11 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None,
     one ``(x, idx, degenerate, rows)`` per column: the feasible unit vector
     nearest the column, the ascending indices ``idx`` of its support (an int
     array that holds every nonzero of x), whether the projection fell back
-    to a degenerate loading, and the walk rows of its path (None for the
-    sparse baseline or a fallback path). Only the winner's rows become a
-    ``Path``, by ``path_of``. A start's weight is stepped first and counts in
-    the trace. A weight whose squares could sum past float max (largest
-    square at least float max / p, possible near the top of the range
+    to a degenerate loading, and the walk rows of its path (None only for
+    the sparse baseline). Only the winner's rows become a ``Path``, by
+    ``path_of``. A start's weight is stepped first and counts in the trace.
+    A weight whose squares could sum past float max (largest square at
+    least float max / p, possible near the top of the range
     ``prepare_covariance`` accepts) is stepped times the power of two that
     brings its largest magnitude into [0.5, 1): an exact scaling of the same
     direction, so the same step; other weights are stepped as they are.
@@ -266,11 +266,10 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
 
     Each step projects sigma @ x back onto the feasible set; the starts, the
     support-restricted products and the stopping rules are those of
-    ``_truncated_power``. A step is one block DP and walk over the running
-    starts (``_paths``), each column then normalized on its path support
-    (``_unit_on``), or on ``Dag._first_bound_path`` when its weight vanishes
-    on every path, bit for bit what ``project`` gives the column. Returns
-    the best-objective iterate seen, which the nondecreasing trace makes the
+    ``_truncated_power``. A step is one ``_paths`` block over the running
+    starts, each column then normalized on its path support (``_unit_on``),
+    bit for bit what ``project`` gives the column. Returns the
+    best-objective iterate seen, which the nondecreasing trace makes the
     last one of its start in exact arithmetic.
 
     Requires PSD input; that is what makes the trace monotone.
@@ -281,19 +280,11 @@ def graph_truncated_power(sigma: np.ndarray | Covariance, dag: Dag,
         verts, sup, counts = _paths(dag, w)
         out = []
         for j, c in enumerate(counts.tolist()):
-            if c:
-                idx, rows = sup[:c, j], verts[:, j]
-            else:  # w vanishes on every path, whose tie-break binds nothing
-                idx, rows = dag._first_bound_path.sorted_support(), None
-            x, deg = _unit_on(w[:, j], idx)
-            out.append((x, idx, deg, rows))
+            x, deg = _unit_on(w[:, j], sup[:c, j])
+            out.append((x, sup[:c, j], deg, verts[:, j]))
         return out
 
-    def path_of(rows):
-        return (dag._first_bound_path if rows is None
-                else make_path(dag, rows[rows >= 0], check=False))
-
-    return _truncated_power(s, step, config, path_of)
+    return _truncated_power(s, step, config, lambda rows: _row_path(dag, rows))
 
 
 def _directions(rng: np.random.Generator, count: int, rank: int) -> np.ndarray:
@@ -364,12 +355,12 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
 
     The candidates run in chunks whose arrays fit ``_BLOCK_BYTES`` unless a
     single column alone exceeds it (``_block_width``): w as a sum of
-    elementwise products, one block DP and walk (``_paths``), then the
-    scores on each path support (``_support_scores``). No matrix product
-    spans the columns, so a candidate's bits do not depend on the chunking.
-    The winner's x (rebuilt by ``_unit_on``) and path are those of
-    ``project(dag, w_i)`` bit for bit, and only it becomes a ``Path``; the
-    scores may differ from ``np.sum((V.T @ x) ** 2)`` in the last bits.
+    elementwise products, one ``_paths`` block, then the scores on each path
+    support (``_support_scores``). No matrix product spans the columns, so
+    a candidate's bits do not depend on the chunking. The winner's x
+    (rebuilt by ``_unit_on``) and path are those of ``project(dag, w_i)``
+    bit for bit, and only it becomes a ``Path``; the scores may differ from
+    ``np.sum((V.T @ x) ** 2)`` in the last bits.
     """
     cov = prepare_covariance(sigma, dag.dim)
     v = low_rank_factor(cov, config.rank)  # raises ValueError for rank > p
@@ -385,26 +376,15 @@ def sample_and_project(sigma: np.ndarray | Covariance, dag: Dag,
         for i in range(1, config.rank):
             w += v[:, i:i + 1] * c[i]
         verts, sup, counts = _paths(dag, w)
-        bare = counts == 0  # w vanishes on every path, whose tie-break binds nothing
-        if bare.any():
-            fallback = dag._first_bound_path.sorted_support()
-            if fallback.size > sup.shape[0]:
-                sup = np.pad(sup, ((0, fallback.size - sup.shape[0]), (0, 0)),
-                             constant_values=np.iinfo(np.int64).max)
-            sup[:fallback.size, bare] = fallback[:, None]
-            counts[bare] = fallback.size
         ro = _support_scores(v, w, sup, counts)
         trace.extend(ro.tolist())
         j = int(np.argmax(ro))  # the first maximum: ties go to the first index
         if ro[j] > best_ro:
             best_ro = float(ro[j])
-            best = (w[:, j].copy(), sup[:counts[j], j].copy(),
-                    None if bare[j] else verts[:, j].copy())
+            best = (w[:, j].copy(), sup[:counts[j], j].copy(), verts[:, j].copy())
     w, sup, verts = best
     x, _ = _unit_on(w, sup)
-    path = (dag._first_bound_path if verts is None
-            else make_path(dag, verts[verts >= 0], check=False))
-    return EstimateResult(x=x, path=path,
+    return EstimateResult(x=x, path=_row_path(dag, verts),
                           objective=float(x @ cov.matrix @ x),
                           iterations=config.budget, trace=trace,
                           rank_objective=best_ro)
@@ -521,8 +501,8 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
         q = -q
     x = np.zeros(dag.dim)
     x[sup] = q
-    path = make_path(dag, rows[win][rows[win] >= 0], check=False)
-    return EstimateResult(x=x, path=path, objective=float(evals[-1]),
+    return EstimateResult(x=x, path=_row_path(dag, rows[win]),
+                          objective=float(evals[-1]),
                           iterations=int(examined.size), trace=top.tolist())
 
 

@@ -237,7 +237,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg)
     solvers = sorted(cfg.solvers)
-    power = PowerMethodConfig(cfg.max_iters, cfg.tol, cfg.restarts)
+    power, sample = solver_configs(cfg.sparsity, cfg.cap, cfg.max_iters, cfg.tol,
+                                   cfg.rank, cfg.budget, restarts=cfg.restarts)
     records: list[ResultRecord] = []
     cell_prepare_s: list[float] = []
     for trial in range(cfg.trials):
@@ -253,7 +254,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
             # prepared by the first solver, shared by the rest
             cov = empirical_covariance(y)
             del y  # (p, n) samples; only their covariance is used from here on
-            sample = SampleProjectConfig(cfg.rank, cfg.budget, seed=(cseed, 2))
             k = (int(np.count_nonzero(x_star)) if cfg.sparsity == "auto"
                  else int(cfg.sparsity))
             prepare_s = 0.0
@@ -262,7 +262,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
                 try:
                     cov = prepare_covariance(cov, graph.dim)
                     prepare_s += time.perf_counter() - t1
-                    res = _run_one(solver, cov, graph, power, sample, cfg.cap,
+                    res = _run_one(solver, cov, graph, power,
+                                   replace(sample, seed=(cseed, 2)), cfg.cap,
                                    k, (cseed,))
                 except InternalInvariantError:
                     raise

@@ -191,11 +191,11 @@ def record_projections(monkeypatch) -> list:
     """Record, from this call on, the projection of every column of each
     ``solvers._paths`` block (the power methods' iterates: per iteration,
     the running starts in start order), in order, in the returned list. A
-    column's ``ProjectedVector`` is built from the block's walk rows as
-    ``project`` builds it: its path, or ``Dag._first_bound_path`` when the
-    path binds nothing, and ``_unit_on`` of the column on that path."""
-    from pathpca import make_path, solvers
-    from pathpca.projection import ProjectedVector, _unit_on
+    column's ``ProjectedVector`` is built from the block as ``project``
+    builds it: ``_unit_on`` of the column on its support, and the path of
+    its walk rows (``_row_path``)."""
+    from pathpca import solvers
+    from pathpca.projection import ProjectedVector, _row_path, _unit_on
 
     made = []
     paths = solvers._paths
@@ -203,11 +203,9 @@ def record_projections(monkeypatch) -> list:
     def recorded(dag, w):
         verts, sup, counts = paths(dag, w)
         for j in range(w.shape[1]):
-            rows = verts[:, j]
-            path = (make_path(dag, rows[rows >= 0], check=False) if counts[j]
-                    else dag._first_bound_path)
-            x, degenerate = _unit_on(w[:, j], path.sorted_support())
-            made.append(ProjectedVector(x=x, path=path, degenerate=degenerate))
+            x, degenerate = _unit_on(w[:, j], sup[:counts[j], j])
+            made.append(ProjectedVector(x=x, path=_row_path(dag, verts[:, j]),
+                                        degenerate=degenerate))
         return verts, sup, counts
 
     monkeypatch.setattr(solvers, "_paths", recorded)

@@ -5,8 +5,8 @@ import pytest
 
 from pathpca import (Dag, GraphStructureError, build_layer_graph, enumerate_paths,
                      is_st_path, project)
-from pathpca.projection import (_best_to_terminal, _sorted_supports, _unit_on,
-                                _vertex_weights, _walk)
+from pathpca.projection import (_best_to_terminal, _paths, _sorted_supports,
+                                _unit_on, _vertex_weights, _walk)
 
 from helpers import assert_feasible, oracle_best_objective, random_dag
 
@@ -218,8 +218,9 @@ class TestBlockProjection:
             w2 = w * w
             block = _block_paths(d, w2)
             for j in range(w.shape[1]):
-                # the 1-D DP and walk that ``project`` runs
-                single = _walk(d, _best_to_terminal(d, _vertex_weights(d, w2[:, j])))
+                # the 1-D DP that ``project`` runs, through the one walk
+                best = _best_to_terminal(d, _vertex_weights(d, w2[:, j]))
+                single = _walk(d, best[:, None])[:, 0]
                 assert block[j] == tuple(single.tolist())
                 assert block[j] == _first_maximizer(d, w2[:, j], paths)
 
@@ -246,6 +247,38 @@ class TestBlockProjection:
                 assert x.tobytes() == pv.x.tobytes()
                 assert degenerate == pv.degenerate
                 assert degenerate == (j == 0 or not np.any(w[pv.path.sorted_support(), j]))
+
+    def test_vector_is_the_one_column_block(self):
+        # project's (dim,) input runs the 1-D DP, then the same walk,
+        # supports and fallback as a block: a column and the one-column
+        # block of it give the same arrays, bit for bit
+        for d, w, _ in self._instances(227):
+            for j in range(w.shape[1]):
+                one, block = _paths(d, w[:, j]), _paths(d, w[:, j:j + 1])
+                for a, b in zip(one, block):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+                assert one[2][0] > 0
+
+    def test_block_rejects_a_column_whose_squares_overflow(self):
+        w = np.full((4, 3), 0.5)
+        w[:, 1] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            _paths(diamond(), w)
+
+    def test_bare_column_takes_the_first_bound_path(self):
+        # a zero column's tie-break path (0, 1, 5) binds nothing; it takes
+        # (0, 2, 3, 4, 5), longer than the block's walk, whose rows and
+        # supports grow for it; the other column keeps its path (0, 6, 5)
+        d = Dag(7, [(0, 1), (1, 5), (0, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 5)],
+                0, 5, binding={2: 0, 3: 1, 4: 2, 6: 3})
+        w = np.zeros((4, 2))
+        w[3, 1] = 1.0
+        verts, sup, counts = _paths(d, w)
+        assert verts.T.tolist() == [[0, 2, 3, 4, 5], [0, 6, 5, -1, -1]]
+        assert counts.tolist() == [3, 1]
+        assert sup[:3, 0].tolist() == [0, 1, 2]
+        assert sup[:1, 1].tolist() == [3]
 
     def test_unbound_tie_break_path_raises_in_block(self):
         # only vertex 2 bound: the zero column's tie-break path (0,1,3) binds

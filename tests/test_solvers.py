@@ -28,7 +28,7 @@ from pathpca import (
     sample_spiked,
     sparse_truncated_power,
 )
-from pathpca import solvers
+from pathpca import projection, solvers
 from pathpca.data import seed_key
 
 from helpers import (assert_feasible, count_factorizations, one_start,
@@ -896,7 +896,7 @@ class TestSupportRestrictedLoop:
             made.append(args[1])
             return original(*args, **kwargs)
 
-        original = solvers.make_path
+        original = projection.make_path
         dag = build_layer_graph(130, 8, 4)
         x_star, _ = random_path_vector(dag, seed=409)
         sigma = empirical_covariance(sample_spiked(
@@ -907,7 +907,7 @@ class TestSupportRestrictedLoop:
             cfg = PowerMethodConfig(restarts=restarts, seed=3, tol=1e-300)
             made.clear()
             with monkeypatch.context() as m:
-                m.setattr(solvers, "make_path", counted)
+                m.setattr(projection, "make_path", counted)
                 res = graph_truncated_power(sigma, dag, cfg)
             assert len(made) == 1
             assert res.iterations > 1 + restarts
