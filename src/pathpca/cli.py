@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, solve, sweep, project, group-graph, validate.
-Exit codes: 0 ok, 2 usage, 3 parse/invalid input, 4 numeric failure,
-5 internal invariant violation.
+Exit codes: 0 ok, 2 usage, 3 parse/invalid input (a non-finite vector
+included), 4 numeric failure (non-finite samples or covariance, non-PSD),
+5 internal invariant violation. ``SweepConfig`` checks the ``generate`` and
+``sweep`` configs, ``check_unit_vector`` the ``--x-star`` vector.
 """
 
 from __future__ import annotations
@@ -15,26 +17,24 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .data import (NumericError, SpikedModelParams, empirical_covariance,
-                   prepare_covariance, random_path_vector, sample_spiked)
+from .data import (NumericError, SpikedModelParams, check_unit_vector,
+                   empirical_covariance, prepare_covariance,
+                   random_path_vector, sample_spiked)
 from .fileio import (ParseError, load_covariance_json, load_data_csv,
                      load_graph, load_grouping, load_vector, write_data_csv,
                      write_graph, write_vector)
-from .graph import (GraphStructureError, build_group_graph, build_layer_graph,
-                    count_paths, validate)
+from .graph import build_group_graph, count_paths, validate
 from .metrics import evaluate
 from .projection import project
-from .sweep import (SOLVER_NAMES, InternalInvariantError, SweepConfig,
-                    _int_or, _layer_shape, _load_valid_graph, _parse_keys,
-                    _run_one, parse_kv_file, parse_sweep_config, run_sweep,
-                    solver_configs, write_sidecar, write_sweep_csv)
+from .sweep import (_SWEEP_KEYS, SOLVER_NAMES, InternalInvariantError,
+                    SweepConfig, _load_valid_graph, _parse_keys, _run_one,
+                    parse_kv_file, parse_sweep_config, resolve_graph,
+                    run_sweep, solver_configs, write_sidecar, write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
-# generate config key -> (name, parser of its value); every key is required
-_GENERATE_KEYS = {"p": ("p", int), "k": ("k", _int_or("auto")),
-                  "d": ("d", _int_or("full")), "beta": ("beta", float),
-                  "n": ("n", int)}
+# the sweep's entries for the generate config's keys, every one required
+_GENERATE_KEYS = {key: _SWEEP_KEYS[key] for key in ("p", "k", "d", "beta", "n")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,12 +103,15 @@ def _load_sigma(args) -> np.ndarray:
 def cmd_generate(args) -> int:
     mapping = parse_kv_file(args.config)
     try:
-        cfg = _parse_keys(mapping, _GENERATE_KEYS, _GENERATE_KEYS)
-        k, d = _layer_shape(cfg["p"], cfg["k"], cfg["d"])
+        cfg = SweepConfig(trials=1, **_parse_keys(mapping, _GENERATE_KEYS,
+                                                  _GENERATE_KEYS))
+        if len(cfg.n_grid) > 1:
+            raise ValueError(f"n must be one sample size, got {cfg.n_grid}")
     except ValueError as exc:
         raise ParseError(args.config, None, str(exc)) from exc
-    p, beta, n = cfg["p"], cfg["beta"], cfg["n"]
-    dag = build_layer_graph(p, k, d)
+    dag, shape = resolve_graph(cfg)
+    p, k, d = shape["p"], shape["k"], shape["d"]
+    beta, n = cfg.beta, cfg.n_grid[0]
     x_star, path = random_path_vector(dag, (args.seed, 0))
     y = sample_spiked(SpikedModelParams(x_star, beta), n, (args.seed, 1))
 
@@ -132,9 +135,8 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     dag = _load_valid_graph(args.graph)
     sigma = _load_sigma(args)  # its dimension is checked by the preparation
-    x_star = load_vector(args.x_star) if args.x_star else None
-    if x_star is not None and x_star.size != dag.dim:
-        raise ValueError("x-star length does not match the graph dimension")
+    x_star = (check_unit_vector(load_vector(args.x_star), "x-star", dag.dim)
+              if args.x_star else None)
     k = args.sparsity
     if args.solver == "sparse-power" and k is None:
         if x_star is None:
@@ -202,8 +204,6 @@ def cmd_sweep(args) -> int:
 def cmd_project(args) -> int:
     dag = _load_valid_graph(args.graph)
     w = load_vector(args.vector)
-    if w.size != dag.dim:
-        raise ValueError(f"vector has length {w.size}, graph binds {dag.dim}")
     pv = project(dag, w)
     print("path: " + " ".join(map(str, pv.path.vertices)))
     print(f"objective: {float(w @ pv.x)!r}")
@@ -255,13 +255,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC
-    except (ValueError, GraphStructureError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and GraphStructureError too
         print(f"error: {exc}", file=sys.stderr)
         return PARSE
     except InternalInvariantError as exc:

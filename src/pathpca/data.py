@@ -4,6 +4,7 @@ Sampling conventions: sample matrices are (p, n), one column per observation.
 Every sampler draws column i from its own random stream keyed by
 ``(*seed, i)``, so results are bit-identical for a given seed regardless of
 evaluation or vectorization order. Seeds may be ints or tuples of ints.
+Planted and estimated unit vectors all pass the one ``check_unit_vector``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ def _column_rng(key: tuple[int, ...], i: int) -> np.random.Generator:
     return np.random.default_rng(key + (i,))
 
 
+def check_unit_vector(x, name: str = "x_star", dim: int | None = None) -> np.ndarray:
+    """x as a float array, checked to be a non-empty 1-d vector (of length
+    ``dim`` when given), finite, and of unit norm to 1e-9; ValueError naming
+    ``name`` otherwise. The one rule for planted vectors and metric inputs."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a 1-d vector")
+    if dim is not None and v.size != dim:
+        raise ValueError(f"{name} has length {v.size}, expected {dim}")
+    if not np.all(np.isfinite(v)):  # a NaN norm would pass the test below
+        raise ValueError(f"{name} must be finite")
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must have unit norm")
+    return v
+
+
 @dataclass(frozen=True)
 class SpikedModelParams:
     """Rank-one spike: observations y = sqrt(beta) * u * x_star + z with
@@ -42,13 +59,7 @@ class SpikedModelParams:
     beta: float
 
     def __post_init__(self):
-        x = np.asarray(self.x_star, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("x_star must be a 1-d vector")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x_star must be finite")
-        if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-            raise ValueError("x_star must have unit norm")
+        x = check_unit_vector(self.x_star)
         if not (self.beta >= 0.0):
             raise ValueError("beta must be nonnegative")
         object.__setattr__(self, "x_star", x)
@@ -236,15 +247,10 @@ def covariance_with_spectrum(x_star: np.ndarray, spectrum) -> np.ndarray:
     principal eigenvector is (up to sign) x_star; requires a strict gap
     spectrum[0] > spectrum[1] so that direction is identifiable.
     """
-    x = np.asarray(x_star, dtype=float)
+    x = check_unit_vector(x_star)
     lam = np.asarray(spectrum, dtype=float)
-    if x.ndim != 1 or lam.shape != x.shape:
-        raise ValueError("x_star and spectrum must be 1-d and the same length")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x_star must be finite")
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("x_star must have unit norm")
+    if lam.shape != x.shape:
+        raise ValueError("spectrum must be 1-d and as long as x_star")
     if x.size >= 2 and not lam[0] > lam[1]:
         raise ValueError("need a strict spectral gap: spectrum[0] > spectrum[1]")
     if np.any(lam <= 0):

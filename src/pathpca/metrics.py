@@ -2,7 +2,8 @@
 
 The projector distance compares the rank-one projectors of two unit vectors,
 so it ignores sign; it is a pseudometric on unit vectors (a metric on the
-lines they span) with values in [0, sqrt(2)].
+lines they span) with values in [0, sqrt(2)]. Both vectors must pass
+``data.check_unit_vector``: 1-d, the same length, finite and of unit norm.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _unit(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must have unit norm")
-    return v
+from .data import check_unit_vector
 
 
 def projector_distance(x_hat, x_star) -> float:
@@ -26,10 +20,8 @@ def projector_distance(x_hat, x_star) -> float:
 
     Computed via the inner product, so it costs O(p) rather than O(p^2).
     """
-    a = _unit(x_hat, "x_hat")
-    b = _unit(x_star, "x_star")
-    if a.shape != b.shape:
-        raise ValueError("vectors must have the same length")
+    a = check_unit_vector(x_hat, "x_hat")
+    b = check_unit_vector(x_star, "x_star", a.size)
     t = float(a @ b)
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * t * t)))
 

@@ -136,8 +136,6 @@ def _row_path(dag: Dag, col: np.ndarray) -> Path:
 def _unit_on(w: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, bool]:
     """w restricted to the support ``sup`` and normalized, or the uniform
     loading on ``sup`` when w vanishes there; returns (x, degenerate)."""
-    if sup.size == 0:
-        raise ValueError("winning path binds no variables; no unit vector on it")
     x = np.zeros(w.shape[0])
     nrm = float(np.linalg.norm(w[sup]))
     if nrm == 0.0:

@@ -109,7 +109,7 @@ class SweepConfig:
             raise ValueError("duplicate solver")
         if self.model not in ("spiked", "spectrum"):
             raise ValueError('model must be "spiked" or "spectrum"')
-        if self.model == "spiked" and self.beta < 0:
+        if self.model == "spiked" and not (self.beta >= 0):
             raise ValueError("beta must be nonnegative")
         if self.model == "spectrum" and not (self.spectrum_exponent < 0):
             raise ValueError("spectrum_exponent must be negative")
@@ -302,8 +302,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
         "seed_mixing": "cell=(SeedSequence((master,trial,n_index)).generate_state(1,"
                        "uint64)[0]); streams: x_star=(cell,0), samples=(cell,1), "
                        "sample-solver=(cell,2) one stream for the whole (budget,rank) draw, "
-                       "power-restarts=(cell,3,j), "
-                       "sparse-restarts=(cell,4,j)",
+                       "power-restarts=(cell,3,j,0), "
+                       "sparse-restarts=(cell,4,j,0)",
         "total_wall_time_s": time.perf_counter() - t0,
         "row_wall_time_s": [r.wall_time for r in records],
         "row_starts": [r.starts for r in records],

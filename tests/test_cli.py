@@ -9,6 +9,7 @@ import pytest
 
 from pathpca import (build_layer_graph, load_graph, load_vector, validate,
                      write_covariance_json, write_graph, write_vector)
+from pathpca import cli
 from pathpca.cli import _build_parser, main
 from pathpca.sweep import SweepConfig
 
@@ -94,6 +95,22 @@ class TestGenerate:
         assert code == 3
         assert "gen.txt" in err and f"{key} = {value}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("beta", -1, "beta must be nonnegative"),
+        ("n", 0, "sample sizes must be positive"),
+        ("n", "10,20", "n must be one sample size, got [10, 20]")])
+    def test_invalid_value_names_the_file(self, tmp_path, capsys, key, value,
+                                          message):
+        # checked by SweepConfig, as a sweep config is, before anything runs
+        cfg = write_generate_config(tmp_path, **{key: value})
+        out = tmp_path / "d"
+        code, stdout, err = run(capsys, "generate", "--config", cfg,
+                                "--out", str(out))
+        assert code == 3
+        assert f"error: {cfg}: {message}" in err
+        assert stdout == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["gen.txt"]
 
 
 # layer shapes build_layer_graph rejects, with the error it gives
@@ -248,6 +265,26 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--graph", g, "--data", str(f))
         assert code == 3
         assert "dimensional" in err
+
+    @pytest.mark.parametrize("x_star,message", [
+        ("nan\n0.0\n", "x-star must be finite"),
+        ("1.0\n0.0\n0.0\n", "x-star has length 3, expected 2")])
+    def test_bad_x_star_exits_3_before_solving(self, tmp_path, capsys,
+                                               monkeypatch, x_star, message):
+        # checked as it loads: no solver runs and no record is printed
+        calls = []
+        monkeypatch.setattr(cli, "_run_one", lambda *a: calls.append(a))
+        g = chain_graph_file(tmp_path)  # dim 2
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.eye(2), f)
+        x = tmp_path / "x_star.txt"
+        x.write_text(x_star)
+        code, out, err = run(capsys, "solve", "--graph", g, "--data", str(f),
+                             "--x-star", str(x))
+        assert code == 3
+        assert f"error: {message}" in err
+        assert out == ""
+        assert calls == []
 
     def test_non_psd_exits_4(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)
@@ -506,6 +543,15 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
         assert code == 3
         assert "sweep.txt" in err and f"{key} = {value}" in err
+        assert not out.exists()
+
+    def test_nan_beta_exits_3_without_csv(self, tmp_path, capsys):
+        # the rule SpikedModelParams applies, so NaN fails before any cell
+        cfg = write_sweep_config(tmp_path, beta="nan")
+        out = tmp_path / "r.csv"
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert f"error: {cfg}: beta must be nonnegative" in err
         assert not out.exists()
 
     def test_bad_config_exits_3(self, tmp_path, capsys):

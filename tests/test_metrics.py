@@ -60,6 +60,16 @@ class TestProjectorDistance:
         with pytest.raises(ValueError):
             projector_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", ["x_hat", "x_star"])
+    def test_rejects_a_nan_vector(self, bad):
+        # a NaN norm passes the unit-norm test, and a NaN inner product would
+        # come out of the clamp as a loss of 0.0
+        x = unit([1.0, 2.0, 2.0])
+        nan = np.array([np.nan, 0.0, 0.0])
+        args = (nan, x) if bad == "x_hat" else (x, nan)
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            projector_distance(*args)
+
 
 class TestSupportJaccard:
     def test_identical_supports(self):
@@ -123,3 +133,11 @@ class TestEvaluate:
         assert rep.projector_loss == projector_distance(a, b)
         assert rep.jaccard == support_jaccard(a, b)
         assert rep.explained_variance == explained_variance(a, s)
+
+    @pytest.mark.parametrize("bad", ["x_hat", "x_star"])
+    def test_rejects_a_nan_vector(self, bad):
+        x = unit([1.0, 2.0, 2.0])
+        nan = np.array([0.0, np.nan, 0.0])
+        args = (nan, x) if bad == "x_hat" else (x, nan)
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            evaluate(*args, np.eye(3))

@@ -289,8 +289,6 @@ class TestBlockProjection:
         sup, counts = _sorted_supports(d, verts)
         assert verts.T.tolist() == [[0, 1, 3], [0, 2, 3]]
         assert counts.tolist() == [0, 1]
-        with pytest.raises(ValueError, match="binds no variables"):
-            _unit_on(w[:, 0], sup[:0, 0])
         assert _unit_on(w[:, 1], sup[:1, 1])[0].tolist() == [1.0]
 
     def test_paths_of_unequal_length_are_padded(self):

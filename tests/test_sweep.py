@@ -352,6 +352,17 @@ class TestCsvAndSidecar:
         assert len(prep) == 1
         assert 0 <= prep[0] <= rows[0]
 
+    def test_sidecar_seed_mixing_names_the_streams(self):
+        # random start j of power / sparse-power draws from the stream
+        # (cell, 3, j, 0) / (cell, 4, j, 0), as solvers._starts keys it
+        _, resolved = run_sweep(small_cfg(n_grid=[40], trials=1,
+                                          solvers=["power"]))
+        assert resolved["seed_mixing"] == (
+            "cell=(SeedSequence((master,trial,n_index)).generate_state(1,"
+            "uint64)[0]); streams: x_star=(cell,0), samples=(cell,1), "
+            "sample-solver=(cell,2) one stream for the whole (budget,rank) "
+            "draw, power-restarts=(cell,3,j,0), sparse-restarts=(cell,4,j,0)")
+
     def test_sidecar_row_starts(self, tmp_path):
         # one entry per CSV row: each power start's (objective, iterations,
         # stop reason) in start order, null for brute force and the sampler;
