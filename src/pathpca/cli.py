@@ -17,9 +17,9 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .data import (NumericError, SpikedModelParams, check_unit_vector,
-                   empirical_covariance, prepare_covariance,
-                   random_path_vector, sample_spiked)
+from .data import (Covariance, NumericError, SpikedModelParams,
+                   check_unit_vector, prepare_covariance, random_path_vector,
+                   sample_spiked)
 from .fileio import (ParseError, load_covariance_json, load_data_csv,
                      load_graph, load_grouping, load_vector, write_data_csv,
                      write_graph, write_vector)
@@ -94,12 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_sigma(args) -> np.ndarray:
-    if str(args.data).endswith(".json"):
-        return load_covariance_json(args.data)
-    return empirical_covariance(load_data_csv(args.data, header=args.header))
-
-
 def cmd_generate(args) -> int:
     mapping = parse_kv_file(args.config)
     try:
@@ -134,7 +128,13 @@ def cmd_solve(args) -> int:
         args.max_iters, args.tol, args.rank, args.budget, args.seed)
     t0 = time.perf_counter()
     dag = _load_valid_graph(args.graph)
-    sigma = _load_sigma(args)  # its dimension is checked by the preparation
+    # a covariance JSON is validated, a CSV's covariance built from its
+    # samples; either way its dimension is checked then
+    if str(args.data).endswith(".json"):
+        data, prepare = load_covariance_json(args.data), prepare_covariance
+    else:
+        data = load_data_csv(args.data, header=args.header)
+        prepare = Covariance.from_samples
     x_star = (check_unit_vector(load_vector(args.x_star), "x-star", dag.dim)
               if args.x_star else None)
     k = args.sparsity
@@ -145,8 +145,8 @@ def cmd_solve(args) -> int:
         k = int(np.count_nonzero(x_star))
 
     t1 = time.perf_counter()
-    cov = prepare_covariance(sigma, dag.dim)
-    del sigma
+    cov = prepare(data, dag.dim)
+    del data
     t2 = time.perf_counter()
     res = _run_one(args.solver, cov, dag, power, sample, args.cap, k,
                    (args.seed,))

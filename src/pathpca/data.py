@@ -5,6 +5,13 @@ Every sampler draws column i from its own random stream keyed by
 ``(*seed, i)``, so results are bit-identical for a given seed regardless of
 evaluation or vectorization order. Seeds may be ints or tuples of ints.
 Planted and estimated unit vectors all pass the one ``check_unit_vector``.
+
+Covariances come in two kinds. A raw matrix (or covariance JSON) is checked
+by ``prepare_covariance``: symmetry, scale and a Cholesky gate for PSD. A
+sample covariance is built by ``Covariance.from_samples``, which skips the
+symmetry pass and the gate (a Gram matrix is symmetric and PSD by
+construction) and, when the samples are few (2n <= p), keeps them so that
+``low_rank_factor`` can take the top eigenpairs from the n x n Gram matrix.
 """
 
 from __future__ import annotations
@@ -60,9 +67,15 @@ class SpikedModelParams:
 
     def __post_init__(self):
         x = check_unit_vector(self.x_star)
-        if not (self.beta >= 0.0):
-            raise ValueError("beta must be nonnegative")
+        self.check_beta(self.beta)
         object.__setattr__(self, "x_star", x)
+
+    @staticmethod
+    def check_beta(beta: float):
+        """The rule 0 <= beta < inf (NaN fails it); ValueError otherwise. An
+        infinite spike makes samples of inf and nan."""
+        if not (0.0 <= beta < np.inf):
+            raise ValueError("beta must be nonnegative and finite")
 
     @property
     def dim(self) -> int:
@@ -73,7 +86,8 @@ def sample_spiked(params: SpikedModelParams, n: int, seed=0) -> np.ndarray:
     """Draw an (p, n) sample matrix from the spiked model.
 
     Column i uses the stream keyed ``(*seed, i)`` and draws the spike
-    coefficient u first, then the noise vector z.
+    coefficient u first, then the noise vector z. The result is built in one
+    buffer, the bits of sqrt(beta) * outer(x_star, u) + z.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -85,16 +99,26 @@ def sample_spiked(params: SpikedModelParams, n: int, seed=0) -> np.ndarray:
         rng = _column_rng(key, i)
         u[i] = rng.standard_normal()
         z[:, i] = rng.standard_normal(p)
-    return np.sqrt(params.beta) * np.outer(params.x_star, u) + z
+    y = np.outer(params.x_star, u)
+    y *= np.sqrt(params.beta)
+    y += z
+    return y
 
 
-def empirical_covariance(samples: np.ndarray) -> np.ndarray:
-    """(1/n) Y Y^T for a (p, n) sample matrix; exactly symmetric."""
+def check_samples(samples) -> np.ndarray:
+    """samples as a float (p, n) array, n >= 1: ValueError for another shape,
+    NumericError for a non-finite value."""
     y = np.asarray(samples, dtype=float)
     if y.ndim != 2 or y.shape[1] < 1:
         raise ValueError("samples must be a (p, n) matrix with n >= 1")
     if not np.all(np.isfinite(y)):
         raise NumericError("samples contain non-finite values")
+    return y
+
+
+def empirical_covariance(samples: np.ndarray) -> np.ndarray:
+    """(1/n) Y Y^T for a (p, n) sample matrix; exactly symmetric."""
+    y = check_samples(samples)
     c = y @ y.T / y.shape[1]
     return (c + c.T) * 0.5
 
@@ -104,14 +128,46 @@ class Covariance:
     """A validated covariance: the symmetrized, read-only matrix, and its
     eigenpairs (ascending eigenvalues, as ``np.linalg.eigh`` returns them).
 
-    Built by ``prepare_covariance`` and shared by every solver and start of a
-    sweep cell. The eigenpairs are one ``eigh``, run on the first read of
-    ``evals`` or ``evecs`` (the PSD check reads them for a matrix its gate
-    leaves undecided) and kept as a ``functools.cached_property``; reading
-    ``matrix`` or ``dim`` never decomposes. All arrays are read-only.
+    Built by ``prepare_covariance`` from a raw matrix, or by ``from_samples``
+    from the samples it is the covariance of, and shared by every solver and
+    start of a sweep cell. The eigenpairs are one ``eigh``, run on the first
+    read of ``evals`` or ``evecs`` (the PSD check reads them for a matrix its
+    gate leaves undecided) and kept as a ``functools.cached_property``;
+    reading ``matrix`` or ``dim`` never decomposes. ``samples`` is a copy of
+    the (p, n) samples when ``from_samples`` kept them (2n <= p), else None;
+    ``low_rank_factor`` then decomposes their n x n Gram matrix instead. All
+    arrays are read-only.
     """
 
     matrix: np.ndarray
+    samples: np.ndarray | None = None
+
+    @classmethod
+    def from_samples(cls, samples, dim: int | None = None) -> Covariance:
+        """The covariance (1/n) Y Y^T of a (p, n) sample matrix Y, whose
+        matrix is bit for bit ``prepare_covariance(empirical_covariance(Y))``'s.
+
+        A Gram matrix is symmetric and PSD by construction, so neither the
+        symmetry pass nor the Cholesky gate runs; its largest entry lies on
+        its diagonal, so the scale check reads p numbers. Raises ValueError
+        for a wrong shape (or dimension, when ``dim`` is given) and
+        NumericError for non-finite samples or a matrix too large for float
+        arithmetic. Y is kept, copied, when 2n <= p: there an ``eigh`` of
+        the n x n Gram matrix costs far less than one of S, and the copy is
+        at most half the size of S.
+        """
+        y = np.asarray(samples, dtype=float)
+        s = empirical_covariance(y)
+        p, n = y.shape
+        if dim is not None and p != dim:
+            raise ValueError(f"covariance is {p}-dimensional, expected {dim}")
+        _check_scale(float(np.diagonal(s).max()), p)
+        s.flags.writeable = False
+        kept = None
+        if 2 * n <= p:
+            kept = y.copy()
+            kept.flags.writeable = False
+        return cls(s, kept)
 
     @property
     def dim(self) -> int:
@@ -119,9 +175,10 @@ class Covariance:
 
     @property
     def decomposed(self) -> bool:
-        """Whether the eigenpairs have been computed (a cached property's
-        value is stored in the instance dict)."""
-        return "_eigenpairs" in self.__dict__
+        """Whether an eigendecomposition has run, of the matrix or of the
+        kept samples' Gram matrix (a cached property's value is stored in the
+        instance dict)."""
+        return "_eigenpairs" in self.__dict__ or "_gram_evecs" in self.__dict__
 
     @property
     def evals(self) -> np.ndarray:
@@ -133,13 +190,37 @@ class Covariance:
 
     @cached_property
     def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            pairs = np.linalg.eigh(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        pairs = _eigh(self.matrix)
         for a in pairs:
             a.flags.writeable = False
-        return tuple(pairs)
+        return pairs
+
+    @cached_property
+    def _gram_evecs(self) -> np.ndarray:
+        """Eigenvectors of the kept samples' Gram matrix Y^T Y / n, ascending
+        by eigenvalue: S Y v = Y (Y^T Y / n) v / n, so Y v / sqrt(n) is
+        sqrt(mu) times a unit eigenvector of S for each pair (mu, v)."""
+        y = self.samples
+        v = _eigh(y.T @ y / y.shape[1])[1]
+        v.flags.writeable = False
+        return v
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return tuple(np.linalg.eigh(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _check_scale(top: float, p: int):
+    """NumericError unless ``top``, the largest entry magnitude of a p x p
+    covariance, is finite and at most float max / 2p, so that symmetrizing
+    and every Rayleigh quotient stay finite."""
+    if not np.isfinite(top):  # NaN and inf propagate through max
+        raise NumericError("covariance contains non-finite values")
+    if max(1.0, top) > np.finfo(float).max / (2 * p):  # s + s.T could overflow
+        raise NumericError("covariance entries are too large for float arithmetic")
 
 
 def _cholesky_succeeds(s: np.ndarray, shift: float) -> bool:
@@ -199,12 +280,8 @@ def prepare_covariance(sigma, dim: int | None = None) -> Covariance:
     if dim is not None and s.shape[0] != dim:
         raise ValueError(f"covariance is {s.shape[0]}-dimensional, expected {dim}")
     top = float(np.abs(s).max())
-    if not np.isfinite(top):  # NaN and inf propagate through max
-        raise NumericError("covariance contains non-finite values")
-    scale = max(1.0, top)
-    if scale > np.finfo(float).max / (2 * s.shape[0]):  # s + s.T could overflow
-        raise NumericError("covariance entries are too large for float arithmetic")
-    if float(np.abs(s - s.T).max()) > 1e-8 * scale:
+    _check_scale(top, s.shape[0])
+    if float(np.abs(s - s.T).max()) > 1e-8 * max(1.0, top):
         raise NumericError("covariance must be symmetric")
     s = (s + s.T) * 0.5
     s.flags.writeable = False
@@ -222,22 +299,37 @@ def low_rank_factor(sigma: np.ndarray | Covariance, rank: int) -> np.ndarray:
     """Factor V with columns sqrt(lambda_i) q_i for the top ``rank`` eigenpairs.
 
     V V^T is the best rank-``rank`` approximation of sigma; columns are
-    orthogonal with nonincreasing norms. Each eigenvector's sign is fixed so
-    its largest-magnitude entry is positive (first such entry on ties).
+    orthogonal with nonincreasing norms. Each column's sign is fixed so its
+    largest-magnitude entry is positive (first such entry on ties).
     sigma may be a raw matrix or a Covariance; ``prepare_covariance`` rejects
     non-PSD input, and eigenvalues that are zero but come out slightly
     negative are clamped.
+
+    A Covariance that kept its samples Y (see ``Covariance.from_samples``)
+    gives V = Y v / sqrt(n) from the top eigenvectors v of the n x n Gram
+    matrix when rank <= n, with no clamp needed and no p x p ``eigh``;
+    otherwise the pairs are those of ``evals`` and ``evecs``.
     """
     cov = prepare_covariance(sigma)
     p = cov.dim
     if not (1 <= rank <= p):
         raise ValueError(f"rank must be in 1..{p}")
+    y = cov.samples
+    if y is not None and rank <= y.shape[1]:
+        v = y @ cov._gram_evecs[:, ::-1][:, :rank] / np.sqrt(y.shape[1])
+        return _largest_entry_positive(v)
     lam = cov.evals[::-1][:rank].copy()
     q = cov.evecs[:, ::-1][:, :rank].copy()
     np.clip(lam, 0.0, None, out=lam)
-    flip = q[np.argmax(np.abs(q), axis=0), np.arange(rank)] < 0
-    q[:, flip] *= -1.0
-    return q * np.sqrt(lam)
+    return _largest_entry_positive(q) * np.sqrt(lam)
+
+
+def _largest_entry_positive(m: np.ndarray) -> np.ndarray:
+    """m with each column negated, in place, whose largest-magnitude entry
+    (the first on ties) is negative."""
+    flip = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])] < 0
+    m[:, flip] *= -1.0
+    return m
 
 
 def covariance_with_spectrum(x_star: np.ndarray, spectrum) -> np.ndarray:

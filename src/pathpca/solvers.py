@@ -38,12 +38,15 @@ iterate is supported on at most |path| (or k) coordinates, so a step
 multiplies only the covariance rows of that support, O(p * |support|) rather
 than O(p^2), and the same product gives the step's Rayleigh quotient.
 
-Every solver, brute force included, validates sigma through
-``prepare_covariance``, whose Cholesky gate rejects non-PSD input without a
-spectrum. Only ``sample_and_project`` reads eigenpairs: its one full-size
-``eigh`` runs on its first read of ``Covariance.evals``, inside the call; the
-other solvers run none. Passing the prepared ``Covariance`` lets several
-solvers share one validation and at most one eigendecomposition.
+Every solver, brute force included, takes a ``Covariance`` or validates a
+raw sigma through ``prepare_covariance``, whose Cholesky gate rejects
+non-PSD input without a spectrum; a covariance built by
+``Covariance.from_samples`` is PSD by construction and passes no gate. Only
+``sample_and_project`` reads eigenpairs, through ``low_rank_factor``, inside
+the call: one full-size ``eigh`` on its first read of ``Covariance.evals``,
+or, for a covariance that kept its few samples, one ``eigh`` of their n x n
+Gram matrix; the other solvers run none. Passing the ``Covariance`` lets
+several solvers share one validation and at most one eigendecomposition.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .data import (Covariance, SpikedModelParams, covariance_with_spectrum,
-                   empirical_covariance, gaussian_sampler, prepare_covariance,
+from .data import (Covariance, SpikedModelParams, check_samples,
+                   covariance_with_spectrum, gaussian_sampler,
                    random_path_vector, sample_spiked)
 from .fileio import ParseError, _content_lines, load_graph
 from .graph import (Dag, _layer_width, build_layer_graph, count_paths,
@@ -109,14 +109,16 @@ class SweepConfig:
             raise ValueError("duplicate solver")
         if self.model not in ("spiked", "spectrum"):
             raise ValueError('model must be "spiked" or "spectrum"')
-        if self.model == "spiked" and not (self.beta >= 0):
-            raise ValueError("beta must be nonnegative")
-        if self.model == "spectrum" and not (self.spectrum_exponent < 0):
-            raise ValueError("spectrum_exponent must be negative")
+        if self.model == "spiked":
+            SpikedModelParams.check_beta(self.beta)
+        if self.model == "spectrum" and not (-np.inf < self.spectrum_exponent < 0):
+            raise ValueError("spectrum_exponent must be negative and finite")
         if self.graph_file is None:
             if self.p is None or self.k is None or self.d is None:
                 raise ValueError("need either graph_file or all of p, k, d")
             _layer_shape(int(self.p), self.k, self.d)
+            if self.model == "spectrum":  # a layer graph's dimension is p
+                _spectrum(self.spectrum_exponent, int(self.p))
         solver_configs(self.sparsity, self.cap, self.max_iters, self.tol,
                        self.rank, self.budget, restarts=self.restarts)
 
@@ -184,8 +186,18 @@ def cell_seed(master: int, trial: int, n_index: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _spectrum(cfg: SweepConfig, dim: int) -> np.ndarray:
-    return np.arange(1, dim + 1, dtype=float) ** cfg.spectrum_exponent
+def _spectrum(exponent: float, dim: int) -> np.ndarray:
+    """The spectrum model's eigenvalues i^exponent, i = 1..dim; ValueError
+    naming spectrum_exponent when the smallest underflows to 0, or when 2^e
+    rounds to 1, leaving no gap for ``covariance_with_spectrum``."""
+    lam = np.arange(1, dim + 1, dtype=float) ** exponent
+    if not lam[-1] > 0.0:
+        raise ValueError(f"spectrum_exponent = {exponent!r} underflows to 0 "
+                         f"at dimension {dim}")
+    if dim >= 2 and not lam[0] > lam[1]:
+        raise ValueError(f"spectrum_exponent = {exponent!r} leaves no gap "
+                         "between the top two eigenvalues")
+    return lam
 
 
 def check_structured_output(dag: Dag, result: EstimateResult, solver: str):
@@ -227,18 +239,24 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
     configuration for the sidecar. Solver errors are recorded per row (the
     exception class name becomes the status) and the sweep continues.
 
-    A cell's covariance is validated once, in the row of its first solver,
-    whose wall time includes that; the other solvers, all restarts and the
-    metrics share it. The validation decides PSD by a Cholesky gate; the
-    sampler's ``eigh`` runs on its first read of the eigenpairs, inside the
-    ``sample`` row, and a cell without the sampler decomposes nothing. The
-    sidecar's ``cell_prepare_s`` holds each cell's validation time,
-    trial-major like the rows."""
+    A cell's covariance is built from its samples once, by
+    ``Covariance.from_samples`` in the row of its first solver, whose wall
+    time includes that; the other solvers, all restarts and the metrics share
+    it. The build checks only the matrix's scale (a sample covariance is PSD
+    by construction), so a covariance that overflows fails each row with a
+    NumericError, while non-finite samples fail the sweep. The sampler's
+    eigenpairs are read inside the ``sample`` row: from the n x n Gram
+    matrix of the samples when 2n <= p, else from one ``eigh`` of the matrix;
+    a cell without the sampler decomposes nothing. The sidecar's
+    ``cell_prepare_s`` holds each cell's build-and-check time, trial-major
+    like the rows."""
     t0 = time.perf_counter()
     graph, graph_info = resolve_graph(cfg)
     solvers = sorted(cfg.solvers)
     power, sample = solver_configs(cfg.sparsity, cfg.cap, cfg.max_iters, cfg.tol,
                                    cfg.rank, cfg.budget, restarts=cfg.restarts)
+    spectrum = (_spectrum(cfg.spectrum_exponent, graph.dim)
+                if cfg.model == "spectrum" else None)
     records: list[ResultRecord] = []
     cell_prepare_s: list[float] = []
     for trial in range(cfg.trials):
@@ -248,20 +266,19 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
             if cfg.model == "spiked":
                 y = sample_spiked(SpikedModelParams(x_star, cfg.beta), n, (cseed, 1))
             else:
-                y = gaussian_sampler(
-                    covariance_with_spectrum(x_star, _spectrum(cfg, graph.dim)),
-                    n, (cseed, 1))
-            # prepared by the first solver, shared by the rest
-            cov = empirical_covariance(y)
-            del y  # (p, n) samples; only their covariance is used from here on
+                y = gaussian_sampler(covariance_with_spectrum(x_star, spectrum),
+                                     n, (cseed, 1))
+            y = check_samples(y)  # a sampler fault fails the sweep, not a row
             k = (int(np.count_nonzero(x_star)) if cfg.sparsity == "auto"
                  else int(cfg.sparsity))
-            prepare_s = 0.0
+            cov, prepare_s = None, 0.0
             for solver in solvers:
                 t1 = time.perf_counter()
                 try:
-                    cov = prepare_covariance(cov, graph.dim)
-                    prepare_s += time.perf_counter() - t1
+                    if cov is None:  # built by the first solver, shared by the rest
+                        cov = Covariance.from_samples(y, graph.dim)
+                        y = None  # only the covariance's own copy may outlive it
+                        prepare_s += time.perf_counter() - t1
                     res = _run_one(solver, cov, graph, power,
                                    replace(sample, seed=(cseed, 2)), cfg.cap,
                                    k, (cseed,))

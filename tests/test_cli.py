@@ -13,6 +13,8 @@ from pathpca import cli
 from pathpca.cli import _build_parser, main
 from pathpca.sweep import SweepConfig
 
+from helpers import count_factorizations
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -258,6 +260,24 @@ class TestSolve:
         sym = (sigma + sigma.T) * 0.5
         assert record["explained_variance"] == float(x @ sym @ x)
 
+    @pytest.mark.parametrize("solver", ["power", "sample", "brute", "sparse-power"])
+    def test_few_samples_are_decomposed_by_their_gram_matrix(
+            self, tmp_path, capsys, monkeypatch, solver):
+        # n = 5 <= p / 2: the CSV's covariance is built with no gate, and the
+        # sampler's pairs come from the 5 x 5 Gram matrix, not a p x p eigh
+        cfg = write_generate_config(tmp_path, n=5)
+        data = tmp_path / "data"
+        run(capsys, "generate", "--config", cfg, "--seed", "1", "--out", str(data))
+        counts = count_factorizations(monkeypatch, 14)
+        code, stdout, _ = run(capsys, "solve", "--graph", str(data / "graph.txt"),
+                              "--data", str(data / "samples.csv"),
+                              "--solver", solver, "--sparsity", "5",
+                              "--x-star", str(data / "x_star.txt"))
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["eigendecomposed"] is (solver == "sample")
+        assert counts == {"eigh": 0, "cholesky": 0}
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         g = chain_graph_file(tmp_path)  # dim 2
         f = tmp_path / "y.csv"
@@ -472,7 +492,33 @@ class TestProject:
         assert code == 3
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_infinite_beta_names_the_config(tmp_path, capsys, command):
+    # an infinite spike would make samples of inf and nan
+    write = write_generate_config if command == "generate" else write_sweep_config
+    cfg = write(tmp_path, beta="inf")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--config", cfg, "--out", str(out))
+    assert code == 3
+    assert f"error: {cfg}: beta must be nonnegative and finite" in err
+    assert stdout == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == [FsPath(cfg).name]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("exponent", ["-inf", "-1e6"])
+    def test_spectrum_without_a_positive_tail_exits_3(self, tmp_path, capsys,
+                                                      exponent):
+        # rejected with the config, before the first cell
+        cfg = write_sweep_config(tmp_path, model="spectrum",
+                                 spectrum_exponent=exponent)
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert f"error: {cfg}: spectrum_exponent" in err
+        assert stdout == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["sweep.txt"]
+
     def test_runs_and_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -552,6 +598,23 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
         assert code == 3
         assert f"error: {cfg}: beta must be nonnegative" in err
+        assert not out.exists()
+
+    def test_non_finite_samples_fail_the_sweep_with_exit_4(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a sampler fault is not a cell's numeric limit: the whole sweep fails
+        def sample_spiked(params, n, seed=0):
+            y = np.ones((params.dim, n))
+            y[0, 0] = np.nan
+            return y
+
+        monkeypatch.setattr("pathpca.sweep.sample_spiked", sample_spiked)
+        cfg = write_sweep_config(tmp_path)
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 4
+        assert "numeric error: samples contain non-finite values" in err
+        assert stdout == ""
         assert not out.exists()
 
     def test_bad_config_exits_3(self, tmp_path, capsys):

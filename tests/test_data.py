@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathpca import (
+    Covariance,
     NumericError,
     SpikedModelParams,
     build_layer_graph,
@@ -44,6 +45,11 @@ class TestSpikedModel:
             SpikedModelParams(x_star=np.array([[1.0]]), beta=1.0)
         p = SpikedModelParams(x_star=unit([3, 4]), beta=2.0)
         assert p.dim == 2
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+            SpikedModelParams(x_star=unit([3, 4]), beta=beta)
 
     def test_sampling_shape_and_determinism(self):
         params = SpikedModelParams(x_star=unit([1, 2, 2]), beta=1.5)
@@ -170,6 +176,116 @@ class TestLowRankFactor:
             low_rank_factor(s, 0)
         with pytest.raises(ValueError):
             low_rank_factor(s, 4)
+
+
+def _sample_sets():
+    """(name, Y): random, rank-deficient, one-sample and all-zero samples, on
+    both sides of the 2n <= p rule."""
+    rng = np.random.default_rng(29)
+    low = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 12))
+    return [("random-wide", rng.standard_normal((10, 4))),
+            ("random-tall", rng.standard_normal((6, 20))),
+            ("rank-deficient", low), ("rank-deficient-few", low[:, :4]),
+            ("one-sample", rng.standard_normal((7, 1))),
+            ("all-zero", np.zeros((6, 2))), ("all-zero-many", np.zeros((6, 5)))]
+
+
+class TestFromSamples:
+    @pytest.mark.parametrize("name,y", _sample_sets())
+    def test_matrix_is_that_of_the_gated_route(self, name, y):
+        cov = Covariance.from_samples(y, y.shape[0])
+        ref = prepare_covariance(empirical_covariance(y))
+        assert cov.matrix.tobytes() == ref.matrix.tobytes()
+        assert not cov.matrix.flags.writeable
+        assert not cov.decomposed
+
+    def test_no_gate_and_no_eigh(self, monkeypatch):
+        y = np.random.default_rng(31).standard_normal((8, 3))
+        counts = count_factorizations(monkeypatch, 8)
+        Covariance.from_samples(y)
+        assert counts == {"eigh": 0, "cholesky": 0}
+
+    @pytest.mark.parametrize("p,n,kept", [(8, 4, True), (8, 5, False),
+                                          (8, 1, True), (3, 2, False),
+                                          (2, 1, True)])
+    def test_keeps_a_copy_of_the_samples_only_when_2n_le_p(self, p, n, kept):
+        # the kept samples are never larger than half the matrix
+        y = np.random.default_rng(p * 10 + n).standard_normal((p, n))
+        cov = Covariance.from_samples(y)
+        if not kept:
+            assert cov.samples is None
+            return
+        assert np.array_equal(cov.samples, y)
+        assert not np.shares_memory(cov.samples, y)
+        assert not cov.samples.flags.writeable
+        assert 2 * cov.samples.size <= cov.matrix.size
+        y[0, 0] += 1.0  # the caller's array stays the caller's
+        assert cov.samples[0, 0] != y[0, 0]
+
+    def test_rejects_what_the_gated_route_rejects(self):
+        with pytest.raises(ValueError, match="5-dimensional, expected 4"):
+            Covariance.from_samples(np.ones((5, 2)), 4)
+        with pytest.raises(ValueError):
+            Covariance.from_samples(np.ones(5))
+        with pytest.raises(NumericError, match="samples contain non-finite"):
+            Covariance.from_samples(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with np.errstate(over="ignore"):
+            for y, message in ((np.full((4, 1), 5e153), "too large"),
+                               (np.full((4, 3), 1e155), "non-finite")):
+                with pytest.raises(NumericError, match=message) as got:
+                    Covariance.from_samples(y)
+                with pytest.raises(NumericError) as want:
+                    prepare_covariance(empirical_covariance(y))
+                assert str(got.value) == str(want.value)
+
+
+class TestFactorOfSampleCovariances:
+    """The factor of a covariance built from its samples, at the edges: all-zero
+    samples, one sample, and a rank above the sample count. With 2n <= p the
+    top pairs come from the n x n Gram matrix, and agree with ``eigh``'s."""
+
+    def test_all_zero_samples_give_an_all_zero_factor(self):
+        y = np.zeros((6, 2))
+        ref = low_rank_factor(empirical_covariance(y), 2)
+        assert ref.shape == (6, 2)
+        assert np.all(ref == 0.0)
+        cov = Covariance.from_samples(y)
+        assert cov.samples is not None  # the Gram route
+        assert np.array_equal(low_rank_factor(cov, 2), ref)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rank_up_to_and_above_the_sample_count(self, n):
+        y = np.random.default_rng(30 + n).standard_normal((8, n))
+        s = empirical_covariance(y)
+        lam_max = float(np.linalg.eigvalsh(s)[-1])
+        v = low_rank_factor(s, n)
+        np.testing.assert_allclose(v @ v.T, s, rtol=0, atol=1e-12 * lam_max)
+        more = low_rank_factor(s, n + 2)
+        assert np.array_equal(more[:, :n], v)
+        # S has rank n: the extra columns carry eigenvalues of order rounding
+        assert np.linalg.norm(more[:, n:]) <= 1e-6 * np.sqrt(lam_max)
+        cov = Covariance.from_samples(y)
+        gram = low_rank_factor(cov, n)  # rank <= n: the Gram route
+        np.testing.assert_allclose(gram, v, rtol=0, atol=1e-12 * lam_max)
+        assert np.array_equal(low_rank_factor(cov, n + 2), more)  # eigh route
+
+    @pytest.mark.parametrize("p,n", [(14, 5), (66, 20), (130, 40), (200, 100)])
+    def test_gram_route_agrees_with_eigh(self, monkeypatch, p, n):
+        x = np.zeros(p)
+        x[:4] = 0.5
+        y = sample_spiked(SpikedModelParams(x, 2.0), n, seed=p)
+        ref = prepare_covariance(empirical_covariance(y))
+        lam_max = float(ref.evals[-1])
+        counts = count_factorizations(monkeypatch, p)
+        cov = Covariance.from_samples(y)
+        for rank in (1, 2, n):
+            got, want = low_rank_factor(cov, rank), low_rank_factor(ref, rank)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * lam_max)
+            assert np.all(got[np.argmax(np.abs(got), axis=0), np.arange(rank)] > 0)
+        assert cov.decomposed
+        assert counts == {"eigh": 0, "cholesky": 0}  # no p x p eigh
+        low_rank_factor(cov, n + 1)  # above n the matrix is decomposed
+        assert counts == {"eigh": 1, "cholesky": 0}
 
 
 class TestPrepareCovariance:

@@ -1,6 +1,7 @@
 """The experiment harness: seeded sweeps over (trial, n, solver) cells."""
 
 import re
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -76,6 +77,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(**shape)
         small_cfg(graph_file="g.txt", **shape)
+
+    @pytest.mark.parametrize("exponent", [-np.inf, -1e6, -300.0, -1e-300])
+    def test_spectrum_must_stay_positive_at_the_dimension(self, exponent):
+        # 14 ** -300 underflows to 0 as well, 14 ** -250 does not; at
+        # -1e-300 every eigenvalue rounds to 1, with no gap
+        with pytest.raises(ValueError, match="spectrum_exponent"):
+            small_cfg(model="spectrum", spectrum_exponent=exponent)
+        small_cfg(model="spectrum", spectrum_exponent=-250.0)
+
+    def test_spectrum_on_a_graph_file_is_checked_before_any_cell(
+            self, tmp_path, monkeypatch):
+        # a graph file's dimension is known only once the graph is loaded
+        f = tmp_path / "g.txt"
+        write_graph(build_layer_graph(14, 3, 2), f)
+        cfg = small_cfg(model="spectrum", spectrum_exponent=-1e6, p=None,
+                        k=None, d=None, graph_file=str(f))
+        monkeypatch.setattr(sweep, "random_path_vector", None)  # no cell runs
+        with pytest.raises(ValueError, match=r"spectrum_exponent = -1000000\.0 "
+                                             "underflows to 0 at dimension 14"):
+            run_sweep(cfg)
 
     def test_nearest_divisor_layers(self):
         assert nearest_divisor_layers(66) == 4    # ln 66 = 4.19, 4 divides 64
@@ -231,13 +252,15 @@ class TestRunSweep:
 
 
 class TestCellDecompositions:
-    """A cell gates its covariance once and decomposes it only when the
-    sampler reads the eigenpairs, inside the sampler's row."""
+    """A cell builds its covariance from its samples once, with no Cholesky
+    gate (a sample covariance is PSD by construction), and decomposes only
+    when the sampler reads the eigenpairs, inside the sampler's row: a p x p
+    ``eigh`` when 2n > p, the n x n Gram matrix's otherwise."""
 
     @pytest.mark.parametrize("solvers,eigh,cholesky", [
-        (["brute", "power", "sample", "sparse-power"], 1, 1),
-        (["sample"], 1, 1),
-        (["brute", "power", "sparse-power"], 0, 1),
+        (["brute", "power", "sample", "sparse-power"], 1, 0),
+        (["sample"], 1, 0),
+        (["brute", "power", "sparse-power"], 0, 0),
     ])
     def test_factorizations_per_cell(self, monkeypatch, solvers, eigh, cholesky):
         cfg = small_cfg(n_grid=[40], trials=2, solvers=solvers)
@@ -264,6 +287,60 @@ class TestCellDecompositions:
         assert all(r.status == "ok" for r in records)
         # power runs first in each cell and finds the covariance undecomposed
         assert rows == [("power", False, 0), ("sample", False, 1)] * 2
+
+    def test_few_samples_decompose_their_gram_matrix(self, monkeypatch):
+        # 2n <= p: the sampler's pairs come from the n x n Gram matrix, so no
+        # p x p eigh runs, and the sampler's row leaves the cell decomposed
+        cfg = small_cfg(n_grid=[5, 7], trials=1, solvers=["power", "sample"])
+        counts = count_factorizations(monkeypatch, 14)
+        covs = []
+        original = sweep._run_one
+
+        def run_one(solver, cov, *args):
+            res = original(solver, cov, *args)
+            covs.append((solver, cov.samples.shape, cov.decomposed))
+            return res
+
+        monkeypatch.setattr(sweep, "_run_one", run_one)
+        records, _ = run_sweep(cfg)
+        assert all(r.status == "ok" for r in records)
+        assert counts == {"eigh": 0, "cholesky": 0}
+        assert covs == [("power", (14, 5), False), ("sample", (14, 5), True),
+                        ("power", (14, 7), False), ("sample", (14, 7), True)]
+
+    def test_no_cell_holds_its_samples_past_the_build(self, monkeypatch):
+        # the sampler's (p, n) array is freed once the covariance is built;
+        # only the covariance's own copy, kept when 2n <= p, outlives it
+        drawn, seen = [], []
+        original_sample, original_run_one = sweep.sample_spiked, sweep._run_one
+
+        def sample_spiked(*args):
+            y = original_sample(*args)
+            drawn.append(weakref.ref(y))
+            return y
+
+        def run_one(solver, cov, *args):
+            seen.append((drawn[-1]() is None, cov.samples is None))
+            return original_run_one(solver, cov, *args)
+
+        monkeypatch.setattr(sweep, "sample_spiked", sample_spiked)
+        monkeypatch.setattr(sweep, "_run_one", run_one)
+        records, _ = run_sweep(small_cfg(n_grid=[7, 8], trials=1,
+                                         solvers=["power", "sample"]))
+        assert all(r.status == "ok" for r in records)
+        assert seen == [(True, False)] * 2 + [(True, True)] * 2
+
+
+class TestCellEdges:
+    def test_overflowing_covariance_gives_a_numeric_error_row_per_solver(self):
+        # finite samples whose covariance overflows: each row records the
+        # failure, and the sweep goes on
+        cfg = small_cfg(n_grid=[40], trials=1, solvers=["power", "sample"],
+                        beta=1e308)
+        with np.errstate(over="ignore"):
+            records, _ = run_sweep(cfg)
+        assert [r.status for r in records] == ["NumericError", "NumericError"]
+        assert all(r.objective is None for r in records)
 
 
 class TestStructuredOutputCheck:
