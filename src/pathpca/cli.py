@@ -26,10 +26,11 @@ from .fileio import (ParseError, load_covariance_json, load_data_csv,
 from .graph import build_group_graph, count_paths, validate
 from .metrics import evaluate
 from .projection import project
-from .sweep import (_SWEEP_KEYS, SOLVER_NAMES, InternalInvariantError,
-                    SweepConfig, _load_valid_graph, _parse_keys, _run_one,
-                    parse_kv_file, parse_sweep_config, resolve_graph,
-                    run_sweep, solver_configs, write_sidecar, write_sweep_csv)
+from .sweep import (_SWEEP_KEYS, SOLVER_NAMES, ConfigError,
+                    InternalInvariantError, SweepConfig, _load_valid_graph,
+                    _parse_keys, _run_one, parse_kv_file, parse_sweep_config,
+                    resolve_graph, run_sweep, solver_configs, write_sidecar,
+                    write_sweep_csv)
 
 OK, USAGE, PARSE, NUMERIC, INTERNAL = 0, 2, 3, 4, 5
 
@@ -191,7 +192,10 @@ def cmd_sweep(args) -> int:
         cfg = parse_sweep_config(mapping)
     except ValueError as exc:
         raise ParseError(args.config, None, str(exc)) from exc
-    records, resolved = run_sweep(cfg)
+    try:
+        records, resolved = run_sweep(cfg)
+    except ConfigError as exc:  # a setting the graph file rules out
+        raise ParseError(args.config, None, str(exc)) from exc
     write_sweep_csv(records, args.out)
     sidecar = str(args.out) + ".json"
     write_sidecar(resolved, sidecar)

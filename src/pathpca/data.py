@@ -1,9 +1,11 @@
 """Synthetic data for path-supported PCA experiments.
 
 Sampling conventions: sample matrices are (p, n), one column per observation.
-Every sampler draws column i from its own random stream keyed by
-``(*seed, i)``, so results are bit-identical for a given seed regardless of
-evaluation or vectorization order. Seeds may be ints or tuples of ints.
+Every sampler draws from one generator, ``default_rng(seed_key(seed))``,
+filled as one row-major block with one row per observation: row i holds
+column i's normals. The fill is sequential, so the first n1 columns of an
+n2 draw are the n1 draw, and results are bit-identical for a given seed.
+Seeds may be ints or tuples of ints.
 Planted and estimated unit vectors all pass the one ``check_unit_vector``.
 
 Covariances come in two kinds. A raw matrix (or covariance JSON) is checked
@@ -34,10 +36,6 @@ def seed_key(seed) -> tuple[int, ...]:
     if isinstance(seed, (tuple, list)):
         return tuple(int(s) for s in seed)
     return (int(seed),)
-
-
-def _column_rng(key: tuple[int, ...], i: int) -> np.random.Generator:
-    return np.random.default_rng(key + (i,))
 
 
 def check_unit_vector(x, name: str = "x_star", dim: int | None = None) -> np.ndarray:
@@ -85,23 +83,17 @@ class SpikedModelParams:
 def sample_spiked(params: SpikedModelParams, n: int, seed=0) -> np.ndarray:
     """Draw an (p, n) sample matrix from the spiked model.
 
-    Column i uses the stream keyed ``(*seed, i)`` and draws the spike
-    coefficient u first, then the noise vector z. The result is built in one
-    buffer, the bits of sqrt(beta) * outer(x_star, u) + z.
+    The normals are one (n, p + 1) draw of ``default_rng(seed_key(seed))``:
+    row i is the spike coefficient u_i followed by the noise vector z_i of
+    column i. The result is built in one buffer, the bits of
+    sqrt(beta) * outer(x_star, u) + z.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    key = seed_key(seed)
-    p = params.dim
-    u = np.empty(n)
-    z = np.empty((p, n))
-    for i in range(n):
-        rng = _column_rng(key, i)
-        u[i] = rng.standard_normal()
-        z[:, i] = rng.standard_normal(p)
-    y = np.outer(params.x_star, u)
+    g = np.random.default_rng(seed_key(seed)).standard_normal((n, params.dim + 1))
+    y = np.outer(params.x_star, g[:, 0])
     y *= np.sqrt(params.beta)
-    y += z
+    y += g[:, 1:].T
     return y
 
 
@@ -366,21 +358,17 @@ def covariance_with_spectrum(x_star: np.ndarray, spectrum) -> np.ndarray:
 def gaussian_sampler(sigma: np.ndarray | Covariance, n: int, seed=0) -> np.ndarray:
     """Draw n columns i.i.d. N(0, sigma) via the symmetric matrix square root.
 
-    Column streams are keyed the same way as in ``sample_spiked``; with
-    sigma = I this matches the spiked sampler at beta = 0 in distribution.
-    sigma may be a raw matrix or a Covariance.
+    The normals are one (n, p) draw of ``default_rng(seed_key(seed))``, row
+    i for column i; with sigma = I this matches the spiked sampler at
+    beta = 0 in distribution. sigma may be a raw matrix or a Covariance.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     cov = prepare_covariance(sigma)
     evecs = cov.evecs
     root = (evecs * np.sqrt(np.clip(cov.evals, 0.0, None))) @ evecs.T
-    p = cov.dim
-    key = seed_key(seed)
-    g = np.empty((p, n))
-    for i in range(n):
-        g[:, i] = _column_rng(key, i).standard_normal(p)
-    return root @ g
+    g = np.random.default_rng(seed_key(seed)).standard_normal((n, cov.dim))
+    return root @ g.T
 
 
 def _uniform_below(rng: np.random.Generator, tot: int) -> int:

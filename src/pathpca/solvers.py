@@ -94,8 +94,9 @@ class PowerMethodConfig:
     """Iteration controls and starts of the truncated power methods.
 
     A run starts from the covariance column with the largest diagonal entry,
-    then from ``restarts`` standard normal draws, draw j from the stream
-    keyed (*seed, j, 0), and keeps the best start (see ``_truncated_power``).
+    then from the ``restarts`` rows of one (restarts, p) standard normal draw
+    of ``default_rng(seed_key(seed))`` (so the first r are those of any
+    larger ``restarts``), and keeps the best start (see ``_truncated_power``).
     """
 
     max_iters: int = 1000
@@ -154,11 +155,10 @@ class EstimateResult:
 
 def _starts(s: np.ndarray, cfg: PowerMethodConfig):
     # The start weights of the power methods, in order: the column of s with
-    # the largest diagonal entry, then cfg.restarts standard normal draws.
+    # the largest diagonal entry, then the rows of one standard normal draw.
     yield s[:, int(np.argmax(np.diag(s)))]
-    key = seed_key(cfg.seed)
-    for j in range(cfg.restarts):
-        yield np.random.default_rng(key + (j, 0)).standard_normal(s.shape[0])
+    yield from np.random.default_rng(seed_key(cfg.seed)).standard_normal(
+        (cfg.restarts, s.shape[0]))
 
 
 class _Start:
@@ -237,15 +237,17 @@ def _truncated_power(s: np.ndarray, step, cfg: PowerMethodConfig | None,
     cfg = cfg if cfg is not None else PowerMethodConfig()
     limit = np.finfo(float).max / s.shape[0]
 
-    def fitted(w):
-        top = float(np.abs(w).max())
-        return w if top * top < limit else np.ldexp(w, -np.frexp(top)[1])
+    def fitted(block):  # ldexp by 0 leaves a column's bits as they are
+        top = np.abs(block).max(axis=0)
+        with np.errstate(over="ignore"):  # a square past float max is inf
+            e = np.where(top * top < limit, 0, -np.frexp(top)[1])
+        return np.ldexp(block, e)
 
-    block = np.column_stack([fitted(w) for w in _starts(s, cfg)])
+    block = fitted(np.column_stack(list(_starts(s, cfg))))
     runs = [_Start(s, *col) for col in step(block)]
     active = runs
     for _ in range(cfg.max_iters):
-        block = np.column_stack([fitted(r.u) for r in active])
+        block = fitted(np.column_stack([r.u for r in active]))
         active = [r for r, col in zip(active, step(block))
                   if not r.advance(*col, cfg.tol)]
         if not active:

@@ -7,12 +7,12 @@ metrics. Seeds derive from one master seed by a fixed mixing rule (below),
 so reruns of the same config write byte-identical CSVs.
 
 Seed mixing: the cell seed for (trial, n_index) is
-``SeedSequence((master, trial, n_index)).generate_state(1, uint64)[0]``;
-the planted vector uses stream (cell_seed, 0), the sampler (cell_seed, 1),
-sample-and-project the one stream (cell_seed, 2) for its whole (budget,
-rank) draw of directions, and the power methods the seed
-(cell_seed, 3) for ``power`` and (cell_seed, 4) for ``sparse-power``: their
-random start j draws from the stream (*seed, j, 0) (see ``PowerMethodConfig``).
+``SeedSequence((master, trial, n_index)).generate_state(1, uint64)[0]``.
+Each draw takes one generator, ``default_rng`` of a key: the planted vector
+(cell_seed, 0); the sampler (cell_seed, 1), row i of one block for column i;
+sample-and-project (cell_seed, 2), one (budget, rank) block; the power
+methods (cell_seed, 3) for ``power`` and (cell_seed, 4) for ``sparse-power``,
+row j of one (restarts, p) block for random start j (``PowerMethodConfig``).
 
 The power methods are local, so each cell runs them from the diagonal start
 plus ``restarts`` seeded random starts and keeps the best objective. A single
@@ -52,6 +52,10 @@ from .solvers import (EstimateResult, PowerMethodConfig, SampleProjectConfig,
 SOLVER_NAMES = ("brute", "power", "sample", "sparse-power")
 CSV_COLUMNS = ("trial", "n", "solver", "seed", "status", "objective",
                "projector_loss", "jaccard", "iterations")
+
+
+class ConfigError(ValueError):
+    """A config setting that only the loaded graph file rules out."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -187,16 +191,16 @@ def cell_seed(master: int, trial: int, n_index: int) -> int:
 
 
 def _spectrum(exponent: float, dim: int) -> np.ndarray:
-    """The spectrum model's eigenvalues i^exponent, i = 1..dim; ValueError
+    """The spectrum model's eigenvalues i^exponent, i = 1..dim; ConfigError
     naming spectrum_exponent when the smallest underflows to 0, or when 2^e
     rounds to 1, leaving no gap for ``covariance_with_spectrum``."""
     lam = np.arange(1, dim + 1, dtype=float) ** exponent
     if not lam[-1] > 0.0:
-        raise ValueError(f"spectrum_exponent = {exponent!r} underflows to 0 "
-                         f"at dimension {dim}")
+        raise ConfigError(f"spectrum_exponent = {exponent!r} underflows to 0 "
+                          f"at dimension {dim}")
     if dim >= 2 and not lam[0] > lam[1]:
-        raise ValueError(f"spectrum_exponent = {exponent!r} leaves no gap "
-                         "between the top two eigenvalues")
+        raise ConfigError(f"spectrum_exponent = {exponent!r} leaves no gap "
+                          "between the top two eigenvalues")
     return lam
 
 
@@ -218,8 +222,8 @@ def _run_one(solver: str, cov: Covariance, dag: Dag, power: PowerMethodConfig,
     """One solver on a prepared covariance, a structured solver's path checked.
     The power methods run the starts of ``power`` with the seed (*seed, 3)
     for ``power`` and (*seed, 4) for ``sparse-power`` (support size ``k``),
-    so random start j draws from the stream (*seed, 3, j, 0) or
-    (*seed, 4, j, 0)."""
+    so random start j is row j of the (restarts, p) draw of the stream
+    (*seed, 3) or (*seed, 4)."""
     if solver == "sparse-power":  # unstructured: no path to check
         return sparse_truncated_power(cov, k, replace(power, seed=seed + (4,)))
     if solver == "power":
@@ -317,10 +321,11 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[ResultRecord], dict]:
         "max_iters": cfg.max_iters,
         "master_seed": cfg.seed,
         "seed_mixing": "cell=(SeedSequence((master,trial,n_index)).generate_state(1,"
-                       "uint64)[0]); streams: x_star=(cell,0), samples=(cell,1), "
-                       "sample-solver=(cell,2) one stream for the whole (budget,rank) draw, "
-                       "power-restarts=(cell,3,j,0), "
-                       "sparse-restarts=(cell,4,j,0)",
+                       "uint64)[0]); streams, one generator each: x_star=(cell,0), "
+                       "samples=(cell,1) row i of one block for column i, "
+                       "sample-solver=(cell,2) one (budget,rank) block, "
+                       "power-restarts=(cell,3) row j of one (restarts,p) block "
+                       "for start j, sparse-restarts=(cell,4) likewise",
         "total_wall_time_s": time.perf_counter() - t0,
         "row_wall_time_s": [r.wall_time for r in records],
         "row_starts": [r.starts for r in records],

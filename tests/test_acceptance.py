@@ -86,10 +86,10 @@ def test_02_projection_scales_linearly(report):
         w = np.random.default_rng(17).standard_normal(p)
         project(dag, w)  # warm-up
         cases.append((dag, w))
-    # Round-robin, best of 3 per size: a slow spell of the host then slows
+    # Round-robin, best of 5 per size: a slow spell of the host then slows
     # one timing of several sizes instead of every timing of one size.
     times = [math.inf] * len(cases)
-    for _ in range(3):
+    for _ in range(5):
         for i, (dag, w) in enumerate(cases):
             times[i] = min(times[i], _timed_projection(dag, w))
     ratios = [b / a for a, b in zip(times, times[1:])]

@@ -170,11 +170,11 @@ class TestSolve:
     # the records of the four solvers on this dataset, pinned so that a change
     # to the dispatch behind `pathpca solve` cannot move them unnoticed
     PINNED = {
-        "power": (3.446757408806359, [0, 2, 7, 12, 13], 10, "stable", None, None),
-        "sample": (3.4466696622969812, [0, 2, 7, 12, 13], 2000, None,
-                   3.4077602975084793, None),
-        "brute": (3.4467574088083683, [0, 2, 7, 12, 13], 16, None, None, 16),
-        "sparse-power": (3.446757408806359, None, 10, "stable", None, None),
+        "power": (3.6712131684458806, [0, 2, 7, 12, 13], 10, "stable", None, None),
+        "sample": (3.671187317865981, [0, 2, 7, 12, 13], 2000, None,
+                   3.6653058239079734, None),
+        "brute": (3.6712131684553024, [0, 2, 7, 12, 13], 16, None, None, 16),
+        "sparse-power": (3.6712131684458806, None, 10, "stable", None, None),
     }
 
     @pytest.mark.parametrize("solver", sorted(PINNED))
@@ -211,7 +211,7 @@ class TestSolve:
         assert code == 0
         record = json.loads(stdout)
         if solver in ("power", "sparse-power"):
-            assert record["starts"] == [[3.446757408806359, 10, "stable"]]
+            assert record["starts"] == [[3.6712131684458806, 10, "stable"]]
         else:
             assert "starts" not in record
 
@@ -518,6 +518,23 @@ class TestSweep:
         assert f"error: {cfg}: spectrum_exponent" in err
         assert stdout == ""
         assert sorted(f.name for f in tmp_path.iterdir()) == ["sweep.txt"]
+
+    def test_spectrum_against_a_graph_file_names_the_config(self, tmp_path,
+                                                            capsys):
+        # the graph's dimension is known only once the file is loaded, yet
+        # the setting at fault is the config's
+        gf = tmp_path / "g.txt"
+        write_graph(build_layer_graph(14, 3, 2), gf)
+        cfg = write_sweep_config(tmp_path, p=None, k=None, d=None,
+                                 model="spectrum", spectrum_exponent="-1e6")
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", cfg, "--graph",
+                                str(gf), "--out", str(out))
+        assert code == 3
+        assert err == (f"error: {cfg}: spectrum_exponent = -1000000.0 "
+                       "underflows to 0 at dimension 14\n")
+        assert stdout == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "sweep.txt"]
 
     def test_runs_and_reruns_byte_identical(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path)

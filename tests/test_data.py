@@ -61,11 +61,27 @@ class TestSpikedModel:
         assert not np.array_equal(a, c)
 
     def test_columns_are_prefix_stable(self):
-        # column i depends only on (seed, i), so extending n keeps old columns
+        # column i is row i of one draw filled in order, so extending n
+        # keeps the old columns
         params = SpikedModelParams(x_star=unit([1, 2, 2]), beta=1.0)
         small = sample_spiked(params, 5, seed=7)
         large = sample_spiked(params, 11, seed=7)
         assert np.array_equal(small, large[:, :5])
+
+    def test_columns_are_rows_of_one_draw(self):
+        # one generator keyed by the seed fills an (n, p + 1) block: row i
+        # is column i's spike coefficient u_i, then its noise z_i; with
+        # sigma = I, gaussian_sampler's column i is row i of an (n, p) block
+        x = unit([1, 2, 2])
+        y = sample_spiked(SpikedModelParams(x_star=x, beta=1.5), 4, seed=(7, 1))
+        g = np.random.default_rng((7, 1)).standard_normal((4, 4))
+        for i in (0, 3):
+            want = x * g[i, 0] * np.sqrt(1.5) + g[i, 1:]
+            assert y[:, i].tobytes() == want.tobytes()
+        y = gaussian_sampler(np.eye(3), 4, seed=(7, 1))
+        g = np.random.default_rng((7, 1)).standard_normal((4, 3))
+        for i in (0, 3):
+            assert y[:, i].tobytes() == g[i].tobytes()
 
     def test_tuple_seed_distinct_from_int_seed_tail(self):
         params = SpikedModelParams(x_star=unit([1, 1]), beta=0.0)

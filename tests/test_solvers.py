@@ -643,11 +643,11 @@ def _dense_power(s, step, w, cfg):
 
 
 def _start_weights(s, cfg):
-    # the documented starts: the max-diagonal column, then restart j drawn
-    # from the stream keyed (*seed, j, 0)
-    return [s[:, int(np.argmax(np.diag(s)))]] + [
-        np.random.default_rng(seed_key(cfg.seed) + (j, 0)).standard_normal(s.shape[0])
-        for j in range(cfg.restarts)]
+    # the documented starts: the max-diagonal column, then restart j as row j
+    # of one (restarts, p) draw of the generator keyed by the seed
+    draw = np.random.default_rng(seed_key(cfg.seed)).standard_normal(
+        (cfg.restarts, s.shape[0]))
+    return [s[:, int(np.argmax(np.diag(s)))]] + list(draw)
 
 
 def _best_of_starts(run, weights):
@@ -679,6 +679,33 @@ def _power_cases(rng, count):
         a = rng.standard_normal((dag.dim, 1))
         yield dag, (random_psd(dag.dim, rng), _rank_deficient(dag, rng),
                     np.zeros((dag.dim, dag.dim)), a @ a.T)[t % 4]
+
+
+class TestStartLayout:
+    """The random starts are the rows of one (restarts, p) standard normal
+    draw of the generator keyed by the seed, after the diagonal column."""
+
+    def test_restart_j_is_row_j_of_one_draw(self):
+        s = random_psd(9, np.random.default_rng(481))
+        starts = list(solvers._starts(s, PowerMethodConfig(restarts=4, seed=(5, 3))))
+        draw = np.random.default_rng((5, 3)).standard_normal((4, 9))
+        assert len(starts) == 5
+        assert starts[0].tobytes() == s[:, int(np.argmax(np.diag(s)))].tobytes()
+        for j in range(4):
+            assert starts[j + 1].tobytes() == draw[j].tobytes()
+
+    def test_fewer_restarts_are_a_prefix(self):
+        # the draw fills in order, so the starts of restarts=2 are the first
+        # starts of restarts=5, and each start's result does not change
+        rng = np.random.default_rng(483)
+        dag = random_dag(rng, max_interior=16)
+        sigma = random_psd(dag.dim, rng)
+        few, many = (PowerMethodConfig(restarts=r, seed=11) for r in (2, 5))
+        a, b = list(solvers._starts(sigma, few)), list(solvers._starts(sigma, many))
+        assert [w.tobytes() for w in a] == [w.tobytes() for w in b[:3]]
+        for run in (lambda c: graph_truncated_power(sigma, dag, c),
+                    lambda c: sparse_truncated_power(sigma, min(3, dag.dim), c)):
+            assert run(few).starts == run(many).starts[:3]
 
 
 class TestMultiStart:
@@ -754,24 +781,27 @@ class TestMultiStart:
         # a random start beats the diagonal one and stops for another reason
         # (a few iterations make "max_iters" stops common): the result
         # carries its x, trace, stop reason and degenerate count, and all
-        # starts' iterations
+        # starts' iterations. Such a case is rare (at start seed 7 none of
+        # the 40 instances is one), so the search runs each instance with
+        # the start seeds 7 to 11 in turn: 200 (instance, seed) pairs
         rng = np.random.default_rng(461)
-        cfg = PowerMethodConfig(max_iters=6, restarts=3, seed=7)
         for dag, sigma in _power_cases(rng, 40):
-            single = [_solve_from(monkeypatch, lambda: graph_truncated_power(
-                          sigma, dag, replace(cfg, restarts=0)), w)
-                      for w in _start_weights(sigma, cfg)]
-            objs = [r.objective for r in single]
-            win = objs.index(max(objs))
-            if win == 0 or single[win].stop_reason == single[0].stop_reason:
-                continue
-            res = graph_truncated_power(sigma, dag, cfg)
-            assert res.x.tobytes() == single[win].x.tobytes()
-            assert res.trace == single[win].trace
-            assert (res.stop_reason, res.degenerate) == \
-                (single[win].stop_reason, single[win].degenerate)
-            assert res.iterations == sum(r.iterations for r in single)
-            return
+            for seed in range(7, 12):
+                cfg = PowerMethodConfig(max_iters=6, restarts=3, seed=seed)
+                single = [_solve_from(monkeypatch, lambda: graph_truncated_power(
+                              sigma, dag, replace(cfg, restarts=0)), w)
+                          for w in _start_weights(sigma, cfg)]
+                objs = [r.objective for r in single]
+                win = objs.index(max(objs))
+                if win == 0 or single[win].stop_reason == single[0].stop_reason:
+                    continue
+                res = graph_truncated_power(sigma, dag, cfg)
+                assert res.x.tobytes() == single[win].x.tobytes()
+                assert res.trace == single[win].trace
+                assert (res.stop_reason, res.degenerate) == \
+                    (single[win].stop_reason, single[win].degenerate)
+                assert res.iterations == sum(r.iterations for r in single)
+                return
         pytest.fail("no instance where a later start wins with another stop reason")
 
 

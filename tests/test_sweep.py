@@ -430,15 +430,17 @@ class TestCsvAndSidecar:
         assert 0 <= prep[0] <= rows[0]
 
     def test_sidecar_seed_mixing_names_the_streams(self):
-        # random start j of power / sparse-power draws from the stream
-        # (cell, 3, j, 0) / (cell, 4, j, 0), as solvers._starts keys it
+        # random start j of power / sparse-power is row j of one draw of
+        # the stream (cell, 3) / (cell, 4), as solvers._starts draws it
         _, resolved = run_sweep(small_cfg(n_grid=[40], trials=1,
                                           solvers=["power"]))
         assert resolved["seed_mixing"] == (
             "cell=(SeedSequence((master,trial,n_index)).generate_state(1,"
-            "uint64)[0]); streams: x_star=(cell,0), samples=(cell,1), "
-            "sample-solver=(cell,2) one stream for the whole (budget,rank) "
-            "draw, power-restarts=(cell,3,j,0), sparse-restarts=(cell,4,j,0)")
+            "uint64)[0]); streams, one generator each: x_star=(cell,0), "
+            "samples=(cell,1) row i of one block for column i, "
+            "sample-solver=(cell,2) one (budget,rank) block, "
+            "power-restarts=(cell,3) row j of one (restarts,p) block for "
+            "start j, sparse-restarts=(cell,4) likewise")
 
     def test_sidecar_row_starts(self, tmp_path):
         # one entry per CSV row: each power start's (objective, iterations,
@@ -453,19 +455,19 @@ class TestCsvAndSidecar:
                                                "sparse-power"]
         assert starts[0] is None and starts[2] is None
         assert starts[1] == [
-            [3.138460426189446, 10, "stable"], [1.389929946690729, 102, "stable"],
-            [3.1384604261948796, 14, "stable"], [3.138460426196542, 33, "stable"],
-            [1.3899299464356534, 77, "stable"], [1.3899299466500932, 92, "stable"]]
+            [1.7368120873205835, 27, "stable"], [1.568872615267205, 33, "stable"],
+            [1.4801712348391476, 37, "stable"], [1.6570369548058543, 29, "stable"],
+            [1.660183559932276, 35, "stable"], [1.660183559843382, 24, "stable"]]
         assert starts[3] == [
-            [3.4758356498509637, 13, "stable"], [3.4548644501279338, 13, "stable"],
-            [3.4758356498393526, 15, "stable"], [3.4758356498373084, 18, "stable"],
-            [3.4758356498334777, 19, "stable"], [3.4758356498487593, 16, "stable"]]
+            [2.111685549414502, 23, "stable"], [1.9933218299481759, 29, "stable"],
+            [1.9933218299620166, 23, "stable"], [1.690886141768315, 26, "stable"],
+            [1.624824521854101, 29, "stable"], [1.6964061499991252, 23, "stable"]]
         for rec, row in zip(records[1::2], starts[1::2]):
             objs = [o for o, _, _ in row]
             assert rec.objective == max(objs)
             assert rec.iterations == sum(i for _, i, _ in row)
-        # the power row's winner is its fourth start, the sparse row's its first
-        assert records[1].objective == starts[1][3][0]
+        # both rows' winner is their first start, the diagonal one
+        assert records[1].objective == starts[1][0][0]
         assert records[3].objective == starts[3][0][0]
 
 
