@@ -19,12 +19,11 @@ construction) and, when the samples are few (2n <= p), keeps them so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .graph import (Dag, GraphStructureError, Path, _ways_to_terminal,
-                    make_path)
+from .graph import Dag, Path, _count_walk, make_path
 
 
 class NumericError(RuntimeError):
@@ -392,35 +391,16 @@ def _uniform_below(rng: np.random.Generator, tot: int) -> int:
 
 
 def random_path_vector(dag: Dag, seed=0) -> tuple[np.ndarray, Path]:
-    """Unit vector supported on a uniformly random S-T path.
+    """Unit vector supported on a random S-T path that binds a variable.
 
-    The path is drawn exactly uniformly over all S-T paths, at any path
-    count (successors weighted by their exact path counts to the terminal,
-    see ``_uniform_below``); loadings are standard normal on the path's bound
-    variables, in ascending variable order, normalized.
+    The path is exactly uniform over the S-T paths that bind a variable, at
+    any path count: ``graph._count_walk`` (which raises when there is none)
+    draws each step by ``_uniform_below``. Loadings are standard normal on
+    the path's bound variables, in ascending variable order, normalized.
     """
-    ways = _ways_to_terminal(dag)
-    if ways[dag.source] == 0:
-        raise GraphStructureError("no path from source to terminal")
-
     rng = np.random.default_rng(seed_key(seed))
-    verts = [dag.source]
-    v = dag.source
-    while v != dag.terminal:
-        nbrs = dag.out_neighbors(v).tolist()
-        counts = [ways[u] for u in nbrs]
-        r = _uniform_below(rng, sum(counts))
-        acc = 0
-        for u, c in zip(nbrs, counts):
-            acc += c
-            if r < acc:
-                v = u
-                break
-        verts.append(v)
-    path = make_path(dag, verts)
+    path = make_path(dag, _count_walk(dag, partial(_uniform_below, rng)))
     sup = path.sorted_support()
-    if sup.size == 0:
-        raise ValueError("sampled path binds no variables")
     g = rng.standard_normal(sup.size)
     nrm = np.linalg.norm(g)
     if nrm == 0.0:

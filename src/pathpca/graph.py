@@ -12,16 +12,20 @@ keys ``source * vertex_count + target``. Every reverse pass over the graph
 (the longest-path DP of the projection, exact path counts) runs over one
 plan, ``Dag._projection_plan``, so they agree on what an S-T path is, and
 a vertex reaches the terminal exactly when its path count is positive. The
-plan's groups are the Kahn waves of the CSR store, deepest first: wave t
-holds the vertices at longest distance t from the in-degree-0 vertices, so
-every edge leaves a group for a later one. Structure derived from the store
-is computed on first read and kept (``functools.cached_property``).
+counts of paths, and of paths that bind a variable, come from one pass
+(``_path_counts``), read by one walk (``_count_walk``). The plan's groups
+are the Kahn waves of the CSR store, deepest first: wave t holds the
+vertices at longest distance t from the in-degree-0 vertices, so every edge
+leaves a group for a later one. Structure derived from the store is
+computed on first read and kept (``functools.cached_property``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -205,37 +209,17 @@ class Dag:
     def _reach_terminal(self) -> np.ndarray:
         """Read-only boolean mask of vertices from which the terminal is
         reachable: those with a positive path count."""
-        mask = _ways_to_terminal(self) > 0
+        mask = _path_counts(self)[0] > 0
         mask.setflags(write=False)
         return mask
 
     @cached_property
     def _first_bound_path(self) -> Path:
-        """The lexicographically first S-T path that binds a variable, found
-        once: a projection's fallback when its weight vanishes on every path
-        and its tie-break path binds nothing. ValueError on every read when
-        no S-T path binds a variable.
-
-        ``binds[v]`` says some path from v to the terminal binds a variable.
-        From the source, the walk takes the smallest out-neighbour that can
-        still complete such a path, and once the path binds a variable, the
-        smallest one that reaches the terminal.
-        """
-        bound = self._binding != UNBOUND
-        reach = self._reach_terminal
-        binds = bound & reach
-        for ed, offs, src in self._projection_plan:
-            binds[src] |= np.logical_or.reduceat(binds[ed], offs)
-        if not binds[self._source]:
-            raise ValueError("no S-T path binds any variable")
-        cur = self._source
-        verts, need = [cur], not bound[cur]
-        while cur != self._terminal:
-            nb = self.out_neighbors(cur)
-            cur = int(nb[np.argmax((binds if need else reach)[nb])])
-            verts.append(cur)
-            need = need and not bound[cur]
-        return make_path(self, verts, check=False)
+        """The lexicographically first S-T path that binds a variable (the
+        count walk with every draw 0), found once: a projection's fallback
+        when its weight vanishes on every path and its tie-break path binds
+        nothing. Raises as ``_bound_path_counts`` on every read."""
+        return make_path(self, _count_walk(self, lambda total: 0), check=False)
 
     @cached_property
     def _projection_plan(self):
@@ -297,8 +281,11 @@ def validate(dag: Dag) -> ValidationReport:
     if dag.out_neighbors(dag.terminal).size > 0:
         violations.append("terminal has outgoing edges")
     try:
-        if not dag._reach_terminal[dag.source]:
+        ways, binds = _path_counts(dag)
+        if not ways[dag.source]:
             violations.append("no path from source to terminal")
+        elif not binds[dag.source]:
+            violations.append("no S-T path binds a variable")
     except GraphStructureError:
         violations.append("graph contains a cycle")
     bound = np.sort(dag.binding[dag.binding != UNBOUND])
@@ -307,20 +294,56 @@ def validate(dag: Dag) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _ways_to_terminal(dag: Dag) -> np.ndarray:
-    """ways[v] = exact number of paths from v to the terminal, as Python
-    integers in an object array (so never overflowing), summed over the
-    projection plan."""
+def _path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:
+    """(ways, binds): ways[v] is the exact number of paths from v to the
+    terminal and binds[v] the number of those that bind a variable, as
+    Python integers in object arrays (so never overflowing), summed over the
+    projection plan. binds is ways less the ``free`` paths, whose vertices
+    are all unbound."""
+    unbound = dag.binding == UNBOUND
     ways = np.zeros(dag.vertex_count, dtype=object)
     ways[dag.terminal] = 1
+    free = ways * unbound
     for ed, offs, src in dag._projection_plan:
         ways[src] = np.add.reduceat(ways[ed], offs)
-    return ways
+        free[src] = np.add.reduceat(free[ed], offs) * unbound[src]
+    return ways, ways - free
+
+
+def _bound_path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_counts``; GraphStructureError when the terminal is unreachable
+    from the source, ValueError when no S-T path binds a variable."""
+    ways, binds = _path_counts(dag)
+    if not ways[dag.source]:
+        raise GraphStructureError("terminal unreachable from source")
+    if not binds[dag.source]:
+        raise ValueError("no S-T path binds any variable")
+    return ways, binds
+
+
+def _count_walk(dag: Dag, draw) -> list[int]:
+    """The vertices of an S-T path that binds a variable. Each step from the
+    source weighs the out-neighbours by ``binds`` until the path binds a
+    variable, then by ``ways`` (``_path_counts``), draws r = ``draw(total)``
+    in [0, total) and takes the first neighbour whose running sum passes r:
+    a uniform draw gives each S-T path that binds a variable equal odds, and
+    r = 0 the lexicographically first. Raises as ``_bound_path_counts``."""
+    ways, binds = _bound_path_counts(dag)
+    bound = dag.binding != UNBOUND
+    cur, verts, weight = dag.source, [dag.source], binds
+    while cur != dag.terminal:
+        if bound[cur]:
+            weight = ways
+        nbrs = dag.out_neighbors(cur).tolist()
+        acc = list(accumulate(weight[u] for u in nbrs))
+        cur = nbrs[bisect_right(acc, draw(acc[-1]))]
+        verts.append(cur)
+    return verts
 
 
 def count_paths(dag: Dag) -> int:
     """Exact number of S-T paths (Python integers, so never overflows)."""
-    return _ways_to_terminal(dag)[dag.source]
+    return _path_counts(dag)[0][dag.source]
 
 
 def make_path(dag: Dag, vertices, check: bool = True) -> Path:

@@ -55,8 +55,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Covariance, low_rank_factor, prepare_covariance, seed_key
-from .graph import Dag, GraphStructureError, Path, _path_array
+from .data import (Covariance, _largest_entry_positive, low_rank_factor,
+                   prepare_covariance, seed_key)
+from .graph import Dag, Path, _bound_path_counts, _path_array
 from .projection import _paths, _row_path, _sorted_supports, _unit_on
 
 # Byte budget of the arrays sample_and_project draws, projects and scores
@@ -445,9 +446,10 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
                       cap: int = 10000) -> EstimateResult:
     """Exact maximizer by path enumeration: the leading eigenpair of the
     principal submatrix of each path's support, best path kept (ties go to
-    the lexicographically first path). Refuses graphs with more than ``cap``
-    paths. ``iterations`` counts the paths that bind a variable; the
-    eigenvector sign makes its largest-magnitude entry positive.
+    the lexicographically first path). Raises as ``_bound_path_counts`` at
+    any path count, then refuses graphs with more than ``cap`` paths.
+    ``iterations`` counts the paths that bind a variable; the eigenvector
+    sign is ``_largest_entry_positive``'s.
 
     Only the paths that can still win are decomposed. Every path first gets
     the upper bound min(Gershgorin, Frobenius) on its leading eigenvalue
@@ -472,14 +474,11 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
     again for its eigenvector, and only it becomes a ``Path``.
     """
     s = prepare_covariance(sigma, dag.dim).matrix
+    _bound_path_counts(dag)  # some path binds a variable, whatever the cap
     rows = _path_array(dag, cap)
-    if rows.shape[0] == 0:
-        raise GraphStructureError("terminal unreachable from source")
     var, sizes = _sorted_supports(dag, rows.T)
     var = var.T  # path i's support is var[i, :sizes[i]]
     examined = np.flatnonzero(sizes > 0)
-    if examined.size == 0:
-        raise ValueError("no S-T path binds any variable")
 
     def eigenvalues(at):
         return _per_path(_top_eigenvalues, lambda k: 2 * k * k + k, s, var,
@@ -501,11 +500,8 @@ def brute_force_solve(sigma: np.ndarray | Covariance, dag: Dag,
     win = int(examined[done][np.argmax(top)])  # the first maximum: ties go first
     sup = var[win, :sizes[win]]
     evals, evecs = np.linalg.eigh(s[np.ix_(sup, sup)])
-    q = evecs[:, -1]
-    if q[np.argmax(np.abs(q))] < 0:
-        q = -q
     x = np.zeros(dag.dim)
-    x[sup] = q
+    x[sup] = _largest_entry_positive(evecs[:, -1:])[:, 0]
     return EstimateResult(x=x, path=_row_path(dag, rows[win]),
                           objective=float(evals[-1]),
                           iterations=int(examined.size), trace=top.tolist())

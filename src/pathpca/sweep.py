@@ -1,9 +1,9 @@
 """Experiment sweeps: planted-signal recovery across sample sizes.
 
 A sweep runs ``trials`` independent cells per sample size n: each cell draws
-a fresh planted unit vector supported on a random S-T path, samples data,
-forms the empirical covariance, runs the selected solvers, and records the
-metrics. Seeds derive from one master seed by a fixed mixing rule (below),
+a fresh planted unit vector supported on an S-T path drawn uniformly from
+those that bind a variable (``random_path_vector``), samples data, forms the
+empirical covariance, runs the selected solvers, and records the metrics. Seeds derive from one master seed by a fixed mixing rule (below),
 so reruns of the same config write byte-identical CSVs.
 
 Seed mixing: the cell seed for (trial, n_index) is

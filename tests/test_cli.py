@@ -505,7 +505,50 @@ def test_infinite_beta_names_the_config(tmp_path, capsys, command):
     assert sorted(f.name for f in tmp_path.iterdir()) == [FsPath(cfg).name]
 
 
+# vertex 2, the only bound one, lies on no S-T path
+NO_BINDING_PATH = "p=4 source=0 terminal=3\nbind 2 0\nedge 0 1\nedge 1 3\nedge 2 3\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve", "project"])
+def test_graph_whose_paths_bind_nothing_is_refused_on_load(tmp_path, capsys,
+                                                           command):
+    g = tmp_path / "unbound.txt"
+    g.write_text(NO_BINDING_PATH)
+    sigma, w = tmp_path / "sigma.json", tmp_path / "w.txt"
+    write_covariance_json(np.eye(1), sigma)
+    write_vector([1.0], w)
+    out = tmp_path / "r.csv"
+    args = {"sweep": ["--config", write_sweep_config(tmp_path, p=None, k=None,
+                                                     d=None),
+                      "--out", str(out)],
+            "solve": ["--data", str(sigma)],
+            "project": ["--vector", str(w)]}[command]
+    code, stdout, err = run(capsys, command, "--graph", str(g), *args)
+    assert code == 3
+    assert err == f"error: {g}: no S-T path binds a variable\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 class TestSweep:
+    def test_paths_that_bind_nothing_are_never_planted(self, tmp_path, capsys):
+        # the S-T path (0, 4) binds no variable: every cell plants x* on one
+        # of the three paths that do
+        gf = tmp_path / "g.txt"
+        gf.write_text("p=5 source=0 terminal=4\nbind 1 0\nbind 2 1\nbind 3 2\n"
+                      "edge 0 1\nedge 0 2\nedge 1 3\nedge 2 3\nedge 3 4\nedge 0 4\n")
+        cfg = write_sweep_config(tmp_path, p=None, k=None, d=None, beta=None,
+                                 n="20,40", trials=4, solvers="power,brute",
+                                 budget=None, cap=None, seed=None)
+        out = tmp_path / "r.csv"
+        for seed in range(6):
+            code, _, err = run(capsys, "sweep", "--config", cfg, "--graph",
+                               str(gf), "--seed", str(seed), "--out", str(out))
+            assert code == 0, err
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert len(rows) == 16
+            assert all(row[4] == "ok" for row in rows)
+
     @pytest.mark.parametrize("exponent", ["-inf", "-1e6"])
     def test_spectrum_without_a_positive_tail_exits_3(self, tmp_path, capsys,
                                                       exponent):
@@ -667,6 +710,115 @@ class TestGroupGraphAndValidate:
         code, stdout, _ = run(capsys, "validate", "--graph", str(f))
         assert code == 3
         assert "violation: " in stdout
+
+    def test_validate_rejects_paths_that_bind_nothing(self, tmp_path, capsys):
+        f = tmp_path / "unbound.txt"
+        f.write_text(NO_BINDING_PATH)
+        code, stdout, _ = run(capsys, "validate", "--graph", str(f))
+        assert code == 3
+        assert stdout == "violation: no S-T path binds a variable\n"
+
+
+class TestFileFormatErrors:
+    """Each loader's format checks, through the CLI: exit 3 with a message
+    that starts with the file name, and the line number where there is
+    one."""
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("p=4 source=0 sink=3\n", 1, "unknown header field 'sink'"),
+        ("p=4 p=4 source=0\n", 1, "header must set p, source and terminal"),
+        ("p=0 source=0 terminal=0\n", 1, "p must be positive"),
+        ("p=4 source=4 terminal=3\n", 1, "source/terminal out of range"),
+        ("p=4 source=0 terminal=3\nedge 0 1\nedge 1\n", 3,
+         "edge line must be 'edge <from> <to>'"),
+        ("p=4 source=0 terminal=3\nbind 1\n", 2,
+         "bind line must be 'bind <vertex> <var-index>'"),
+        ("p=4 source=0 terminal=3\nbind 4 0\n", 2, "vertex out of range 0..3"),
+        ("p=4 source=0 terminal=3\n\nbind 1 -1\n", 3,
+         "variable index must be nonnegative"),
+    ])
+    def test_graph_file(self, tmp_path, capsys, text, line_no, message):
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        code, stdout, err = run(capsys, "validate", "--graph", str(f))
+        assert code == 3
+        assert err == f"error: {f}:{line_no}: {message}\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("text", ["[[1.0, 0.0], [0.0, 1.0]]", '{"p": 2}'])
+    def test_covariance_json(self, tmp_path, capsys, text):
+        f = tmp_path / "sigma.json"
+        f.write_text(text)
+        code, stdout, err = run(capsys, "solve", "--graph", chain_graph_file(tmp_path),
+                                "--data", str(f))
+        assert code == 3
+        assert err == f"error: {f}: expected an object with a 'sigma' field\n"
+        assert stdout == ""
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("0 a\n1\n", 2, "expected '<var-index> <group-label>'"),
+        ("0 a\n-1 b\n", 2, "variable index must be nonnegative"),
+    ])
+    def test_grouping(self, tmp_path, capsys, text, line_no, message):
+        f = tmp_path / "groups.txt"
+        f.write_text(text)
+        out = tmp_path / "g.txt"
+        code, stdout, err = run(capsys, "group-graph", "--grouping", str(f),
+                                "--out", str(out))
+        assert code == 3
+        assert err == f"error: {f}:{line_no}: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+
+class TestFaultExitCodes:
+    """Exit 5 for a broken invariant or an unexpected exception (a bug, not
+    bad input), exit 4 for an eigensolver failure."""
+
+    def test_broken_path_invariant_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("pathpca.sweep.is_st_path", lambda dag, vertices: False)
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.eye(2), f)
+        code, stdout, err = run(capsys, "solve", "--graph", chain_graph_file(tmp_path),
+                                "--data", str(f))
+        assert code == 5
+        assert err == "internal error: power: attached path is not an S-T path\n"
+        assert stdout == ""
+        cfg = write_sweep_config(tmp_path)
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", cfg, "--out", str(out))
+        assert code == 5
+        assert err == "internal error: brute: attached path is not an S-T path\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_unexpected_exception_exits_5(self, tmp_path, capsys, monkeypatch):
+        def evaluate(*args):
+            raise KeyError("projector_loss")
+
+        monkeypatch.setattr("pathpca.cli.evaluate", evaluate)
+        f, x = tmp_path / "sigma.json", tmp_path / "x_star.txt"
+        write_covariance_json(np.eye(2), f)
+        write_vector([1.0, 0.0], x)
+        code, stdout, err = run(capsys, "solve", "--graph", chain_graph_file(tmp_path),
+                                "--data", str(f), "--x-star", str(x))
+        assert code == 5
+        assert err == "internal error: KeyError: 'projector_loss'\n"
+        assert stdout == ""
+
+    def test_eigensolver_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        f = tmp_path / "sigma.json"
+        write_covariance_json(np.eye(2), f)
+        code, stdout, err = run(capsys, "solve", "--graph", chain_graph_file(tmp_path),
+                                "--data", str(f), "--solver", "sample")
+        assert code == 4
+        assert err == ("numeric error: eigendecomposition failed: "
+                       "Eigenvalues did not converge\n")
+        assert stdout == ""
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import pytest
 
 from pathpca import (
     Covariance,
+    Dag,
     NumericError,
     SpikedModelParams,
     build_layer_graph,
@@ -59,6 +60,13 @@ class TestSpikedModel:
         assert np.array_equal(a, b)
         c = sample_spiked(params, 8, seed=43)
         assert not np.array_equal(a, c)
+
+    def test_samplers_need_one_sample(self):
+        params = SpikedModelParams(x_star=unit([1, 2, 2]), beta=1.0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_spiked(params, 0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gaussian_sampler(np.eye(3), 0)
 
     def test_columns_are_prefix_stable(self):
         # column i is row i of one draw filled in order, so extending n
@@ -537,6 +545,8 @@ class TestCovarianceWithSpectrum:
             covariance_with_spectrum(x, [1.0, 0.5, -0.1])  # not positive
         with pytest.raises(ValueError):
             covariance_with_spectrum(np.array([1.0, 1.0, 1.0]), [2.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="as long as x_star"):
+            covariance_with_spectrum(x, [2.0, 1.0])
 
 
 class TestGaussianSampler:
@@ -633,18 +643,27 @@ class TestExactPathDraws:
         assert _chi2(counts, 1000.0) < _chi2_upper(2)
 
     def test_random_path_vector_chi_square(self):
-        # an irregular DAG: successors carry unequal path counts
-        dag = random_dag(np.random.default_rng(4), max_interior=10, max_paths=40)
-        paths = [p.vertices for p in enumerate_paths(dag, cap=40)]
-        assert len(set(map(len, paths))) > 1
-        per_path = 60
-        counts = dict.fromkeys(paths, 0)
-        for s in range(per_path * len(paths)):
-            _, path = random_path_vector(dag, seed=(2024, s))
-            counts[path.vertices] += 1
-        assert len(counts) == len(paths)
-        assert min(counts.values()) > 0
-        assert _chi2(list(counts.values()), per_path) < _chi2_upper(len(paths) - 1)
+        # an irregular DAG: successors carry unequal path counts; and one
+        # whose first two paths, (0, 1, 3, 6, 7) and (0, 1, 3, 7), bind
+        # nothing, nor do (0, 1, 7) and (0, 7): draws are uniform over the
+        # paths that bind a variable
+        irregular = random_dag(np.random.default_rng(4), max_interior=10, max_paths=40)
+        sparse = Dag(8, [(0, 1), (0, 2), (0, 7), (1, 3), (1, 4), (1, 7), (3, 6),
+                         (3, 7), (6, 7), (2, 4), (2, 5), (2, 7), (4, 7), (5, 7)],
+                     0, 7, binding={4: 0, 5: 1, 2: 2})
+        for dag, n_binding in ((irregular, 8), (sparse, 4)):
+            everything = enumerate_paths(dag, cap=40)
+            paths = [p.vertices for p in everything if p.support]
+            assert len(paths) == n_binding and len(set(map(len, paths))) > 1
+            assert (dag is irregular) == (len(paths) == len(everything))
+            per_path = 60
+            counts = dict.fromkeys(paths, 0)
+            for s in range(per_path * len(paths)):
+                _, path = random_path_vector(dag, seed=(2024, s))
+                counts[path.vertices] += 1
+            assert len(counts) == len(paths)
+            assert min(counts.values()) > 0
+            assert _chi2(list(counts.values()), per_path) < _chi2_upper(len(paths) - 1)
 
     def test_more_paths_than_two_to_the_63(self):
         dag = build_layer_graph(134, 33, 4)  # 4 * 4**32 = 2**66 paths

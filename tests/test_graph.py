@@ -72,6 +72,12 @@ class TestDagBasics:
             Dag(3, [(0, 1), (1, 2)], 0, 2, binding={1: 3}, dim=2)  # var >= dim
         with pytest.raises(ValueError):
             Dag(3, [(0, 1), (1, 2)], 0, 2, binding=[0, 1])  # wrong length
+        with pytest.raises(ValueError, match="edges must be pairs"):
+            Dag(3, [(0, 1, 2)], 0, 2)
+        with pytest.raises(ValueError, match="bound vertex 3 out of range"):
+            Dag(3, [(0, 1), (1, 2)], 0, 2, binding={3: 0})
+        with pytest.raises(ValueError, match="binding indices must be >= -1"):
+            Dag(3, [(0, 1), (1, 2)], 0, 2, binding=[0, -2, 1])
 
 
 def _dfs_paths(dag):
@@ -287,6 +293,13 @@ class TestValidate:
     def test_source_equals_terminal(self):
         d = Dag(2, [(0, 1)], 0, 0)
         assert not validate(d).ok
+
+    def test_no_path_binds_a_variable(self):
+        # vertex 2, the only bound one, lies on no S-T path
+        d = Dag(4, [(0, 1), (1, 3), (2, 3)], 0, 3, binding={2: 0})
+        assert validate(d).violations == ("no S-T path binds a variable",)
+        d = Dag(4, [(0, 1), (1, 3), (2, 3)], 0, 3, binding={1: 0, 2: 1})
+        assert validate(d).ok
 
     def test_duplicate_variable_binding(self):
         d = Dag(4, [(0, 1), (1, 2), (2, 3)], 0, 3, binding={1: 0, 2: 0})

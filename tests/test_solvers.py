@@ -332,6 +332,10 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="no S-T path binds any variable") as err:
             brute_force_solve(np.eye(1), dag)
         assert not isinstance(err.value, GraphStructureError)
+        # checked before the cap: two paths, neither binding, over a cap of 1
+        dag = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={}, dim=1)
+        with pytest.raises(ValueError, match="no S-T path binds any variable"):
+            brute_force_solve(np.eye(1), dag, cap=1)
 
 
 def _reference_brute(sigma, dag, cap=10000):

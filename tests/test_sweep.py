@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pathpca import (
+    Covariance,
     Dag,
     InternalInvariantError,
     ParseError,
@@ -57,6 +58,8 @@ class TestConfig:
             small_cfg(solvers=["power", "power"])
         with pytest.raises(ValueError):
             small_cfg(solvers=["bogus"])
+        with pytest.raises(ValueError, match="at least one solver"):
+            small_cfg(solvers=[])
         with pytest.raises(ValueError):
             small_cfg(model="other")
         with pytest.raises(ValueError):
@@ -165,6 +168,13 @@ class TestRunSweep:
         assert all(r.status == "ValueError" for r in brute)
         assert all(r.objective is None for r in brute)
         assert all(r.status == "ok" for r in rest)
+
+    def test_run_one_rejects_an_unknown_solver(self):
+        dag = build_layer_graph(12, 2, 5)
+        cov = Covariance.from_samples(np.eye(12))
+        power, sample = sweep.solver_configs("auto", 100, 10, 1e-9, 2, 30)
+        with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+            sweep._run_one("bogus", cov, dag, power, sample, 100, 1, (0,))
 
     def test_recovery_improves_with_n(self):
         cfg = SweepConfig(n_grid=[30, 400], trials=6, solvers=["power"],
@@ -510,9 +520,10 @@ class TestConfigFiles:
     def test_malformed_line_rejected(self, tmp_path):
         from pathpca import ParseError
         f = tmp_path / "cfg.txt"
-        f.write_text("p 14\n")
-        with pytest.raises(ParseError):
-            parse_kv_file(f)
+        for line in ("p 14", "p ="):
+            f.write_text(line + "\n")
+            with pytest.raises(ParseError, match="expected 'key = value'"):
+                parse_kv_file(f)
 
     def test_parse_sweep_config_full(self):
         cfg = parse_sweep_config({
