@@ -13,11 +13,16 @@ keys ``source * vertex_count + target``. Every reverse pass over the graph
 plan, ``Dag._projection_plan``, so they agree on what an S-T path is, and
 a vertex reaches the terminal exactly when its path count is positive. The
 counts of paths, and of paths that bind a variable, come from one pass
-(``_path_counts``), read by one walk (``_count_walk``). The plan's groups
+(``_path_counts``), read by one walk (``_count_walk``). The plan's waves
 are the Kahn waves of the CSR store, deepest first: wave t holds the
 vertices at longest distance t from the in-degree-0 vertices, so every edge
-leaves a group for a later one. Structure derived from the store is
-computed on first read and kept (``functools.cached_property``).
+leaves a wave for a later one. Each wave is split by out-degree class into
+padded neighbour tables: a (D, n) table whose column i lists the
+out-neighbours of the group's i-th source, padded with the sentinel id
+``vertex_count``. A pass keeps one extra value at the sentinel, the
+identity of its reduction, and reduces ``values[table]`` along axis 0.
+Structure derived from the store is computed on first read and kept
+(``functools.cached_property``).
 """
 
 from __future__ import annotations
@@ -142,11 +147,7 @@ class Dag:
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(key // n, minlength=n), out=self._indptr[1:])
         self._indices = key % n
-
-        self._bound_vertices = np.flatnonzero(bind != UNBOUND)
-        self._bound_vars = bind[self._bound_vertices]
-        for arr in (self._binding, self._indptr, self._indices,
-                    self._bound_vertices, self._bound_vars):
+        for arr in (self._binding, self._indptr, self._indices):
             arr.setflags(write=False)
 
     # -- basic accessors ----------------------------------------------------
@@ -223,23 +224,30 @@ class Dag:
 
     @cached_property
     def _projection_plan(self):
-        """The one reverse-level traversal: a list of groups (targets, run
-        offsets, run sources), one group per Kahn wave with out-edges,
-        deepest first.
+        """The one reverse-level traversal: a list of waves, one per Kahn
+        wave with out-edges, deepest first, each a list of (table, sources)
+        groups.
 
         Wave 0 is the in-degree-0 vertices; wave t+1 is the vertices whose
         last in-edges leave wave t, which is exactly the vertices at longest
-        edge-count distance t+1 from wave 0, in ascending order. So every
-        edge runs from a wave to a later one, and processing the groups in
-        order makes every edge target final before its source is reduced.
-        A group holds its wave's out-edges in (source, target) order, one
-        run per source, so a ``reduceat`` over the targets' values at the
-        offsets reduces each source's out-neighbors. This drives the
-        longest-path DP of the projection and the exact path counts, whose
-        positive entries are the vertices that reach the terminal. Edges
-        leaving the terminal are left out: no S-T path uses them, and the
-        terminal's value is fixed. A cycle leaves vertices in no wave:
-        GraphStructureError.
+        edge-count distance t+1 from wave 0. So every edge runs from a wave
+        to a later one, and processing the waves in order makes every edge
+        target final before its source is reduced. A wave's sources are
+        split by out-degree class ceil(log2(degree)), ascending, each class
+        keeping its sources ascending (``_degree_tables``). A group's table
+        is a (D, n) int64 array, D the largest out-degree in the class:
+        column i holds the ascending out-neighbours of sources[i], padded
+        below with the sentinel id ``vertex_count``. A reverse pass keeps
+        one extra value at the sentinel, the identity of its reduction, so
+        ``values[table]`` reduced along axis 0 reduces each source's
+        out-neighbours. Every degree in a class exceeds D/2, so each column
+        pads less than it holds: the tables have fewer than 2|E| entries,
+        and a hub gets a table of its own instead of widening its wave's.
+        This drives the longest-path DP of the projection and the
+        exact path counts, whose positive entries are the vertices that
+        reach the terminal. Edges leaving the terminal are left out: no S-T
+        path uses them, and the terminal's value is fixed. A cycle leaves
+        vertices in no wave: GraphStructureError.
 
         A wave step sorts only the targets of the wave's out-edges, so the
         pass costs O(|E| log |E|) however many waves there are.
@@ -253,8 +261,7 @@ class Dag:
             seen += wave.size
             src = wave[has_out[wave] & (wave != self._terminal)]
             if src.size:
-                _, offs, ed = _csr_gather(indptr, indices, src)
-                plan.append((ed, offs, src))
+                plan.append(_degree_tables(indptr, indices, src))
             # each target of the wave's out-edges, ascending, loses one
             # in-degree per edge; those left with none form the next wave
             dsts = np.sort(_csr_gather(indptr, indices, wave)[2])
@@ -266,6 +273,24 @@ class Dag:
             raise GraphStructureError("graph contains a cycle")
         plan.reverse()
         return plan
+
+
+def _degree_tables(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray):
+    """The (table, sources) groups of the ascending sources ``src``, all with
+    out-edges: one per out-degree class ceil(log2(degree)), ascending; the
+    table's column i is the out-neighbours of sources[i], padded with the
+    sentinel id len(indptr) - 1 to the class's largest degree."""
+    lo = indptr[src]
+    deg = indptr[src + 1] - lo
+    cls = np.frexp(deg - 1)[1]  # the bit length of deg - 1: ceil(log2(deg))
+    groups = []
+    for c in np.unique(cls):
+        at = cls == c
+        rows = np.arange(deg[at].max())[:, None]
+        tab = indices.take(lo[at] + rows, mode="clip")
+        tab[rows >= deg[at]] = indptr.size - 1
+        groups.append((tab, src[at]))
+    return groups
 
 
 # -- operations --------------------------------------------------------------
@@ -299,15 +324,18 @@ def _path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:
     terminal and binds[v] the number of those that bind a variable, as
     Python integers in object arrays (so never overflowing), summed over the
     projection plan. binds is ways less the ``free`` paths, whose vertices
-    are all unbound."""
-    unbound = dag.binding == UNBOUND
-    ways = np.zeros(dag.vertex_count, dtype=object)
+    are all unbound. Both arrays keep a 0 at the tables' sentinel id V while
+    the pass runs, and return V entries."""
+    n = dag.vertex_count
+    unbound = np.append(dag.binding == UNBOUND, False)
+    ways = np.zeros(n + 1, dtype=object)
     ways[dag.terminal] = 1
     free = ways * unbound
-    for ed, offs, src in dag._projection_plan:
-        ways[src] = np.add.reduceat(ways[ed], offs)
-        free[src] = np.add.reduceat(free[ed], offs) * unbound[src]
-    return ways, ways - free
+    for wave in dag._projection_plan:
+        for tab, src in wave:
+            ways[src] = ways[tab].sum(axis=0)
+            free[src] = free[tab].sum(axis=0) * unbound[src]
+    return ways[:n], (ways - free)[:n]
 
 
 def _bound_path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:

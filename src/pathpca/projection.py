@@ -10,11 +10,14 @@ so the winning path is the one with the largest restricted norm.
 
 The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
-values. ``_paths`` is the one pipeline that runs them, for a (dim,) vector
-or the columns of a (dim, B) block alike: DP, overflow check, walk, sorted
-supports and the degenerate fallback. ``project`` is its one-column case,
-the sampler projects its candidates through it in chunks and the power
-methods their running starts, one block per iteration, so single and
+values. The pass runs over the padded neighbour tables of
+``Dag._projection_plan``: per table, one gather of the DP values and a max
+along the table's first axis, the padding's sentinel id reading an extra
+-inf row. ``_paths`` is the one pipeline that runs them, for a (dim,)
+vector or the columns of a (dim, B) block alike: DP, overflow check, walk,
+sorted supports and the degenerate fallback. ``project`` is its one-column
+case, the sampler projects its candidates through it in chunks and the
+power methods their running starts, one block per iteration, so single and
 batched projections agree bit for bit, tie-break included.
 """
 
@@ -37,27 +40,23 @@ class ProjectedVector:
     degenerate: bool = False
 
 
-def _vertex_weights(dag: Dag, w: np.ndarray) -> np.ndarray:
-    """Per-vertex weights of a (dim,) vector or (dim, B) block: the weight of
-    the bound variable, zero on unbound vertices."""
-    out = np.zeros((dag.vertex_count,) + w.shape[1:])
-    out[dag._bound_vertices] = w[dag._bound_vars]
-    return out
-
-
-def _best_to_terminal(dag: Dag, vw: np.ndarray) -> np.ndarray:
+def _best_to_terminal(dag: Dag, sq: np.ndarray) -> np.ndarray:
     """best[v] = max over S-T-suffix paths starting at v of the summed vertex
-    weight, -inf where the terminal is unreachable; for a (V,) vector or per
-    column of a (V, B) block."""
-    best = np.full(vw.shape, -np.inf)
-    best[dag.terminal] = vw[dag.terminal]
-    for ed, offs, src in dag._projection_plan:
-        best[src] = vw[src] + np.maximum.reduceat(best[ed], offs, axis=0)
+    weight, -inf where the terminal is unreachable; for a vector or per
+    column of a block. ``sq`` holds the variables' weights, (dim + 1,) or
+    (dim + 1, B), its last row 0: an unbound vertex's binding -1 reads it.
+    Returns V + 1 rows, row V being -inf for the tables' sentinel padding."""
+    bind = dag.binding
+    best = np.full((dag.vertex_count + 1,) + sq.shape[1:], -np.inf)
+    best[dag.terminal] = sq[bind[dag.terminal]]
+    for wave in dag._projection_plan:
+        for tab, src in wave:
+            best[src] = sq[bind[src]] + best[tab].max(axis=0)
     return best
 
 
 def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
-    """Greedy descent through the (V, B) DP values, every column at once.
+    """Greedy descent through the (V + 1, B) DP values, every column at once.
 
     Each step moves each column that has not reached the terminal to its
     smallest out-neighbor attaining the largest ``best``; this yields the
@@ -105,17 +104,17 @@ def _sorted_supports(dag: Dag, verts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best paths of a (dim,) weight vector or the columns of a (dim, B)
     block: the walk's (L, B) vertex rows and their ``_sorted_supports``. The
-    DP runs on the squares in the shape of w; the walk reads it as (V, B). A
-    column that vanishes on every path, whose tie-break path binds nothing,
-    takes ``Dag._first_bound_path`` (both arrays grow when it is longer), so
-    no count is 0. ValueError when a column's squares overflow or no S-T
-    path binds a variable."""
-    vw = _vertex_weights(dag, w)
-    np.square(vw, out=vw)
-    best = _best_to_terminal(dag, vw)
+    DP runs on the squares, padded with a zero row, in the shape of w; the
+    walk reads it as (V + 1, B). A column that vanishes on every path, whose
+    tie-break path binds nothing, takes ``Dag._first_bound_path`` (both
+    arrays grow when it is longer), so no count is 0. ValueError when a
+    column's squares overflow or no S-T path binds a variable."""
+    sq = np.zeros((dag.dim + 1,) + w.shape[1:])
+    np.square(w, out=sq[:-1])
+    best = _best_to_terminal(dag, sq)
     if not np.all(best[dag.source] < np.inf):  # +inf or nan: a square overflowed
         raise ValueError("input vector too large: its squares overflow")
-    verts = _walk(dag, best.reshape(dag.vertex_count, -1))
+    verts = _walk(dag, best.reshape(best.shape[0], -1))
     sup, counts = _sorted_supports(dag, verts)
     bare = counts == 0
     if bare.any():

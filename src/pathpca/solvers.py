@@ -76,17 +76,19 @@ def _block_width(dag: Dag, budget: int, rank: int) -> int:
     """Sample-and-project candidates per chunk whose arrays fit ``budget``
     bytes, but at least 1. Per column it counts 8 bytes for each of: the
     direction draw and its normalized copy (``rank`` rows each); the weights
-    (dim rows); the vertex weights and DP values (|V| rows each); the gather
-    of the largest level group; and, with L the most vertices an S-T path can
-    have (one more than the number of level groups), the walk's vertex rows,
-    the sorted supports, the gathered weights and their squares (L rows
-    each) and the (L, rank) gather of factor rows. The walk's per-step
-    temporaries are no larger than the level-group gather; one-row arrays
-    (norms, scores) and boolean masks are left out."""
+    (dim rows) and their padded squares (dim + 1 rows); the DP values
+    (|V| + 1 rows); the gather of the largest neighbour table, padding
+    included; and, with L the most vertices an S-T path can have (one more
+    than the number of plan waves), the walk's vertex rows, the sorted
+    supports, the gathered weights and their squares (L rows each) and the
+    (L, rank) gather of factor rows. The walk's per-step temporaries are no
+    larger than the table gather; one-row arrays (norms, scores) and
+    boolean masks are left out."""
     plan = dag._projection_plan
-    group = max((ed.size for ed, _, _ in plan), default=0)
+    table = max((tab.size for wave in plan for tab, _ in wave), default=0)
     steps = len(plan) + 1
-    per_col = 2 * rank + dag.dim + 2 * dag.vertex_count + group + steps * (4 + rank)
+    per_col = (2 * rank + 2 * dag.dim + dag.vertex_count + 2 + table
+               + steps * (4 + rank))
     return max(1, budget // (8 * per_col))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pathpca import Dag, count_paths, enumerate_paths, validate
+from pathpca import UNBOUND, Dag, count_paths, enumerate_paths, validate
 
 
 def random_psd(p: int, rng, scale: float = 1.0) -> np.ndarray:
@@ -117,6 +117,22 @@ def reference_plan(dag: Dag):
         src, runs = np.unique(es[at], return_index=True)
         plan.append((ed[at], runs.astype(np.int64), src))
     return plan
+
+
+def reference_best(dag: Dag, w2: np.ndarray) -> np.ndarray:
+    """``projection._best_to_terminal`` by the ``reduceat`` route: the
+    per-vertex weights of the squared weights w2, (dim,) or (dim, B), zero
+    on unbound vertices, then per ``reference_plan`` group best[src] =
+    weights[src] + the ``np.maximum.reduceat`` of best over each source's
+    run of targets; V rows, -inf where the terminal is unreachable."""
+    vw = np.zeros((dag.vertex_count,) + w2.shape[1:])
+    bound = dag.binding != UNBOUND
+    vw[bound] = w2[dag.binding[bound]]
+    best = np.full(vw.shape, -np.inf)
+    best[dag.terminal] = vw[dag.terminal]
+    for ed, runs, src in reference_plan(dag):
+        best[src] = vw[src] + np.maximum.reduceat(best[ed], runs, axis=0)
+    return best
 
 
 def support_indicator(dag: Dag, paths) -> np.ndarray:

@@ -169,10 +169,13 @@ class TestEdgeStore:
 
 
 class TestPlanOracle:
-    """The edge store and every plan group equal those of the lexsort and
-    levels-argsort construction (``helpers.reference_store`` and
-    ``reference_plan``) array for array, dtypes included; a graph with a
-    cycle fails in both."""
+    """The edge store equals that of the lexsort construction
+    (``helpers.reference_store``) array for array, dtypes included, and the
+    plan has one wave per ``reference_plan`` level: its tables' sources are
+    the level's, each table's columns hold their sources' runs of targets,
+    padded with exactly the sentinel id V, every degree in a table is more
+    than half its height, and the tables hold fewer than 2|E| entries. A
+    graph with a cycle fails in both."""
 
     def check(self, d, edges):
         indptr, indices = reference_store(d.vertex_count, edges)
@@ -186,9 +189,23 @@ class TestPlanOracle:
             return
         got = d._projection_plan
         assert len(got) == len(want)
-        for group, ref in zip(got, want):
-            for a, b in zip(group, ref):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        entries = plan_edges = 0
+        for wave, (ed, runs, src) in zip(got, want):
+            run = dict(zip(src.tolist(), np.split(ed, runs[1:])))
+            sources = []
+            for tab, s in wave:
+                assert tab.dtype == s.dtype == np.int64
+                assert tab.shape == (tab.shape[0], s.size)
+                for col, v in zip(tab.T, s.tolist()):
+                    targets = run[v]
+                    assert np.array_equal(col[:targets.size], targets)
+                    assert np.all(col[targets.size:] == d.vertex_count)
+                    assert 2 * targets.size > tab.shape[0]
+                sources += s.tolist()
+                entries += tab.size
+            assert sorted(sources) == src.tolist()
+            plan_edges += ed.size
+        assert entries < 2 * plan_edges or entries == plan_edges == 0
 
     def test_random_dags_with_shuffled_edges(self):
         rng = np.random.default_rng(41)

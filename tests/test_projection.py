@@ -6,9 +6,9 @@ import pytest
 from pathpca import (Dag, GraphStructureError, build_layer_graph, enumerate_paths,
                      is_st_path, project)
 from pathpca.projection import (_best_to_terminal, _paths, _sorted_supports,
-                                _unit_on, _vertex_weights, _walk)
+                                _unit_on, _walk)
 
-from helpers import assert_feasible, oracle_best_objective, random_dag
+from helpers import assert_feasible, oracle_best_objective, random_dag, reference_best
 
 
 def diamond():
@@ -190,9 +190,15 @@ class TestProject:
         assert pv.x.tolist() == [0.0, 0.0, 1.0]
 
 
+def _dp(dag, w2):
+    """``_best_to_terminal`` of the squared weights w2, (dim,) or (dim, B),
+    given the zero row it reads for unbound vertices."""
+    return _best_to_terminal(dag, np.concatenate((w2, np.zeros((1,) + w2.shape[1:]))))
+
+
 def _block_paths(dag, w2):
     """Paths of the block DP and walk, one vertex tuple per column of w2."""
-    verts = _walk(dag, _best_to_terminal(dag, _vertex_weights(dag, w2)))
+    verts = _walk(dag, _dp(dag, w2))
     return [tuple(col[col >= 0].tolist()) for col in verts.T]
 
 
@@ -219,14 +225,14 @@ class TestBlockProjection:
             block = _block_paths(d, w2)
             for j in range(w.shape[1]):
                 # the 1-D DP that ``project`` runs, through the one walk
-                best = _best_to_terminal(d, _vertex_weights(d, w2[:, j]))
+                best = _dp(d, w2[:, j])
                 single = _walk(d, best[:, None])[:, 0]
                 assert block[j] == tuple(single.tolist())
                 assert block[j] == _first_maximizer(d, w2[:, j], paths)
 
     def test_block_matches_project(self):
         for d, w, _ in self._instances(223):
-            verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w * w)))
+            verts = _walk(d, _dp(d, w * w))
             sup, counts = _sorted_supports(d, verts)
             for j in range(w.shape[1]):
                 try:
@@ -285,7 +291,7 @@ class TestBlockProjection:
         # nothing, while the nonzero column routes through vertex 2
         d = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3, binding={2: 0})
         w = np.array([[0.0, 0.5]])
-        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w * w)))
+        verts = _walk(d, _dp(d, w * w))
         sup, counts = _sorted_supports(d, verts)
         assert verts.T.tolist() == [[0, 1, 3], [0, 2, 3]]
         assert counts.tolist() == [0, 1]
@@ -295,7 +301,7 @@ class TestBlockProjection:
         # the heavy column takes the long branch 0-1-2-4, the other 0-3-4
         d = Dag(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], 0, 4)
         w2 = np.array([[0, 0], [5, 0], [5, 0], [0, 9], [0, 0]], dtype=float)
-        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, w2)))
+        verts = _walk(d, _dp(d, w2))
         assert verts.T.tolist() == [[0, 1, 2, 4], [0, 3, 4, -1]]
         sup, counts = _sorted_supports(d, verts)
         assert counts.tolist() == [4, 3]
@@ -305,7 +311,7 @@ class TestBlockProjection:
     def test_shared_variable_counted_once(self):
         # vertices 1 and 2 both carry variable 0, as Path.support counts it
         d = Dag(4, [(0, 1), (1, 2), (2, 3)], 0, 3, binding={1: 0, 2: 0, 3: 1})
-        verts = _walk(d, _best_to_terminal(d, _vertex_weights(d, np.ones((2, 3)))))
+        verts = _walk(d, _dp(d, np.ones((2, 3))))
         sup, counts = _sorted_supports(d, verts)
         assert counts.tolist() == [2, 2, 2]
         assert sup[:2].T.tolist() == [[0, 1]] * 3
@@ -314,6 +320,70 @@ class TestBlockProjection:
         # vertex 1 is a dead end and the only successor of the source
         d = Dag(3, [(0, 1)], 0, 2)
         with pytest.raises(GraphStructureError, match="unreachable"):
-            _walk(d, _best_to_terminal(d, _vertex_weights(d, np.ones((3, 2)))))
+            _walk(d, _dp(d, np.ones((3, 2))))
         with pytest.raises(GraphStructureError, match="unreachable"):
             project(d, np.ones(3))
+
+
+class TestReferenceDP:
+    """``_best_to_terminal`` over the padded neighbour tables equals the
+    ``reduceat`` DP over the reference plan (``helpers.reference_best``) bit
+    for bit, and its row V, which the tables' sentinel padding reads, is
+    -inf."""
+
+    def check(self, d, w2):
+        got, want = _dp(d, w2), reference_best(d, w2)
+        assert got.shape == (d.vertex_count + 1,) + w2.shape[1:]
+        assert got[:-1].tobytes() == want.tobytes()
+        assert np.all(got[-1] == -np.inf)
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(229)
+        for _ in range(60):
+            d = random_dag(rng, max_interior=30)
+            w = rng.standard_normal((d.dim, 5))
+            self.check(d, w[:, 0] ** 2)
+            self.check(d, w * w)
+
+    def test_ties_under_zero_and_identity_weights(self):
+        rng = np.random.default_rng(233)
+        for _ in range(30):
+            d = random_dag(rng, max_interior=24)
+            for w2 in (np.zeros(d.dim), np.ones(d.dim), np.zeros((d.dim, 3)),
+                       np.eye(d.dim)):
+                self.check(d, w2)
+
+    def test_vertices_that_cannot_reach_the_terminal(self):
+        # six more vertices, each fed by a vertex of the graph and feeding
+        # only later ones among the six: their best is -inf
+        rng = np.random.default_rng(239)
+        for _ in range(30):
+            d = random_dag(rng, max_interior=20)
+            n, extra = d.vertex_count, 6
+            feeders = [v for v in range(n) if v != d.terminal]
+            edges = d.edges().tolist()
+            for x in range(n, n + extra):
+                edges.append((int(rng.choice(feeders)), x))
+                edges += [(x, y) for y in range(x + 1, n + extra) if rng.random() < 0.4]
+            g = Dag(n + extra, edges, d.source, d.terminal,
+                    binding=np.append(d.binding, np.arange(d.dim, d.dim + extra)),
+                    dim=d.dim + extra)
+            w = rng.standard_normal((g.dim, 3))
+            assert np.all(_dp(g, w * w)[n:n + extra] == -np.inf)
+            self.check(g, w[:, 0] ** 2)
+            self.check(g, w * w)
+
+    def test_hub_sharing_its_wave_with_out_degree_one_vertices(self):
+        # wave 1 holds the hub 1, of out-degree 1100, and the 1000 vertices
+        # 2..1001 of out-degree 1; the hub gets a table of its own
+        hub, singles, mids, t = 1, range(2, 1002), range(1002, 2102), 2102
+        edges = [(0, hub)] + [(0, v) for v in singles] + [(hub, m) for m in mids]
+        edges += [(v, mids[i % len(mids)]) for i, v in enumerate(singles)]
+        edges += [(m, t) for m in mids]
+        d = Dag(t + 1, edges, 0, t)
+        assert sorted(tab.shape for tab, _ in d._projection_plan[1]) == [(1, 1000),
+                                                                          (1100, 1)]
+        w = np.random.default_rng(241).standard_normal((d.dim, 4))
+        self.check(d, w[:, 0] ** 2)
+        self.check(d, w * w)
+        self.check(d, np.zeros(d.dim))

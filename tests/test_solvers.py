@@ -1316,10 +1316,11 @@ class TestSampleAndProjectBlock:
     def test_block_arrays_stay_within_budget(self, monkeypatch, block_bytes):
         # every chunk's arrays fit the budget, 8 bytes per entry and column:
         # the direction draw and its normalized copy (rank rows each), the
-        # weights (dim rows), vertex weights and DP values (|V| rows each),
-        # the gather of the largest level group, and for each of L rows (L
-        # bounding the walk's rows) the vertex rows, the sorted supports, the
-        # gathered weights, their squares and the rank factor rows
+        # weights (dim rows) and their padded squares (dim + 1 rows), the DP
+        # values (|V| + 1 rows), the gather of the largest neighbour table,
+        # padding included, and for each of L rows (L bounding the walk's
+        # rows) the vertex rows, the sorted supports, the gathered weights,
+        # their squares and the rank factor rows
         widths, walks = [], []
 
         def paths(dag_, w):
@@ -1334,14 +1335,14 @@ class TestSampleAndProjectBlock:
         monkeypatch.setattr(solvers, "_paths", paths)
         dag = build_layer_graph(130, 8, 4)
         plan = dag._projection_plan
-        group = max(ed.size for ed, _, _ in plan)
+        table = max(tab.size for wave in plan for tab, _ in wave)
         steps = len(plan) + 1
         sigma = random_psd(130, np.random.default_rng(313))
         cfg = SampleProjectConfig(rank=2, budget=500, seed=1)
         res = sample_and_project(sigma, dag, cfg)
         assert sum(widths) == cfg.budget
         assert max(walks) <= steps
-        per_col = (2 * cfg.rank + dag.dim + 2 * dag.vertex_count + group
+        per_col = (2 * cfg.rank + 2 * dag.dim + 1 + dag.vertex_count + 1 + table
                    + steps * (4 + cfg.rank))
         for b in widths:
             assert 8 * b * per_col <= block_bytes
