@@ -286,9 +286,10 @@ def _degree_tables(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray):
     groups = []
     for c in np.unique(cls):
         at = cls == c
-        rows = np.arange(deg[at].max())[:, None]
+        d = deg[at]
+        rows = np.arange(d.max())[:, None]
         tab = indices.take(lo[at] + rows, mode="clip")
-        tab[rows >= deg[at]] = indptr.size - 1
+        tab[rows >= d] = indptr.size - 1
         groups.append((tab, src[at]))
     return groups
 
