@@ -17,10 +17,14 @@ counts of paths, and of paths that bind a variable, come from one pass
 are the Kahn waves of the CSR store, deepest first: wave t holds the
 vertices at longest distance t from the in-degree-0 vertices, so every edge
 leaves a wave for a later one. Each wave is split by out-degree class into
-padded neighbour tables: a (D, n) table whose column i lists the
-out-neighbours of the group's i-th source, padded with the sentinel id
-``vertex_count``. A pass keeps one extra value at the sentinel, the
-identity of its reduction, and reduces ``values[table]`` along axis 0.
+padded neighbour tables. The plan gives every vertex a position, the
+groups' sources first in plan order, so each group owns one slice of
+positions: a (D, n) table's column i lists, as positions, the
+out-neighbours of the group's i-th source, padded with the sentinel
+``vertex_count``. A pass runs in positions, keeps one extra value at the
+sentinel, the identity of its reduction, reduces ``values[table]`` along
+axis 0 into the group's slice, and maps back to vertex ids through the
+plan's ``pos``.
 Structure derived from the store is computed on first read and kept
 (``functools.cached_property``).
 """
@@ -31,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,10 +228,10 @@ class Dag:
         return make_path(self, _count_walk(self, lambda total: 0), check=False)
 
     @cached_property
-    def _projection_plan(self):
-        """The one reverse-level traversal: a list of waves, one per Kahn
-        wave with out-edges, deepest first, each a list of (table, sources)
-        groups.
+    def _projection_plan(self) -> _Plan:
+        """The one reverse-level traversal (see ``_Plan``): the Kahn waves
+        with out-edges, deepest first, each a list of (a, table) groups, and
+        the vertices' plan positions.
 
         Wave 0 is the in-degree-0 vertices; wave t+1 is the vertices whose
         last in-edges leave wave t, which is exactly the vertices at longest
@@ -236,32 +241,38 @@ class Dag:
         split by out-degree class ceil(log2(degree)), ascending, each class
         keeping its sources ascending (``_degree_tables``). A group's table
         is a (D, n) int64 array, D the largest out-degree in the class:
-        column i holds the ascending out-neighbours of sources[i], padded
-        below with the sentinel id ``vertex_count``. A reverse pass keeps
-        one extra value at the sentinel, the identity of its reduction, so
-        ``values[table]`` reduced along axis 0 reduces each source's
-        out-neighbours. Every degree in a class exceeds D/2, so each column
-        pads less than it holds: the tables have fewer than 2|E| entries,
-        and a hub gets a table of its own instead of widening its wave's.
-        This drives the longest-path DP of the projection and the
-        exact path counts, whose positive entries are the vertices that
-        reach the terminal. Edges leaving the terminal are left out: no S-T
-        path uses them, and the terminal's value is fixed. A cycle leaves
-        vertices in no wave: GraphStructureError.
+        column i holds the positions of the ascending out-neighbours of the
+        group's i-th source, padded below with the sentinel V. Every degree
+        in a class exceeds D/2, so each column pads less than it holds: the
+        tables have fewer than 2|E| entries, and a hub gets a table of its
+        own instead of widening its wave's.
+
+        Positions go to the groups' sources in plan order, so the group at
+        a owns the positions [a, a + n) and the groups tile [0, a_end); then
+        to the terminal at a_end; then, ascending, to every other vertex
+        with no out-edge; the sentinel keeps V. A reverse pass therefore
+        writes each group as one slice and reads the tables as they are.
+        This drives the longest-path DP of the projection and the exact path
+        counts, whose positive entries are the vertices that reach the
+        terminal. Edges leaving the terminal are left out: no S-T path uses
+        them, and the terminal's value is fixed. A cycle leaves vertices in
+        no wave: GraphStructureError.
 
         A wave step sorts only the targets of the wave's out-edges, so the
-        pass costs O(|E| log |E|) however many waves there are.
+        pass costs O(|E| log |E|) however many waves there are. The tables
+        are mapped to positions in place, so the plan holds them and two
+        (V + 1,) arrays.
         """
         indptr, indices, n = self._indptr, self._indices, self._n
         has_out = indptr[1:] > indptr[:-1]
         indeg = np.bincount(indices, minlength=n)
         wave = np.flatnonzero(indeg == 0)
-        seen, plan = 0, []
+        seen, waves = 0, []
         while wave.size:
             seen += wave.size
             src = wave[has_out[wave] & (wave != self._terminal)]
             if src.size:
-                plan.append(_degree_tables(indptr, indices, src))
+                waves.append(_degree_tables(indptr, indices, src))
             # each target of the wave's out-edges, ascending, loses one
             # in-degree per edge; those left with none form the next wave
             dsts = np.sort(_csr_gather(indptr, indices, wave)[2])
@@ -271,15 +282,52 @@ class Dag:
             wave = dsts[indeg[dsts] == 0]
         if seen < n:
             raise GraphStructureError("graph contains a cycle")
-        plan.reverse()
-        return plan
+        waves.reverse()
+        pos = np.empty(n + 1, dtype=np.int64)
+        a = 0
+        for wave in waves:
+            for i, (tab, src) in enumerate(wave):
+                pos[src] = np.arange(a, a + src.size)
+                wave[i] = (a, tab)
+                a += src.size
+        pos[self._terminal] = a
+        rest = ~has_out  # every other vertex is a source or the terminal
+        rest[self._terminal] = False
+        pos[:n][rest] = np.arange(a + 1, n)
+        pos[n] = n
+        for wave in waves:
+            for _, tab in wave:
+                # in place: "clip" writes straight into out, where the
+                # default mode buffers a copy; every entry is in range
+                np.take(pos, tab, out=tab, mode="clip")
+        bind = np.empty(n + 1, dtype=np.int64)
+        bind[pos[:n]] = self._binding
+        bind[n] = UNBOUND
+        for arr in (pos, bind):
+            arr.setflags(write=False)
+        return _Plan(waves, pos, bind)
+
+
+class _Plan(NamedTuple):
+    """``Dag._projection_plan``. ``waves``: the Kahn waves with out-edges,
+    deepest first, each a list of (a, table) groups whose (D, n) table lists
+    in column i the out-neighbours, as positions, of the vertex at position
+    a + i, padded with V. ``pos``: the (V + 1,) position of each vertex id,
+    pos[V] = V. ``bind``: the (V + 1,) binding of the vertex at each
+    position, ``UNBOUND`` at V, so ``values[bind]`` reads a (dim + 1)-row
+    array whose last row serves the unbound vertices."""
+
+    waves: list
+    pos: np.ndarray
+    bind: np.ndarray
 
 
 def _degree_tables(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray):
     """The (table, sources) groups of the ascending sources ``src``, all with
     out-edges: one per out-degree class ceil(log2(degree)), ascending; the
-    table's column i is the out-neighbours of sources[i], padded with the
-    sentinel id len(indptr) - 1 to the class's largest degree."""
+    table's column i is the out-neighbours of sources[i], as vertex ids,
+    padded with the sentinel id len(indptr) - 1 to the class's largest
+    degree."""
     lo = indptr[src]
     deg = indptr[src + 1] - lo
     cls = np.frexp(deg - 1)[1]  # the bit length of deg - 1: ceil(log2(deg))
@@ -325,18 +373,20 @@ def _path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:
     terminal and binds[v] the number of those that bind a variable, as
     Python integers in object arrays (so never overflowing), summed over the
     projection plan. binds is ways less the ``free`` paths, whose vertices
-    are all unbound. Both arrays keep a 0 at the tables' sentinel id V while
-    the pass runs, and return V entries."""
-    n = dag.vertex_count
-    unbound = np.append(dag.binding == UNBOUND, False)
+    are all unbound. The pass runs in plan positions, one slice per group,
+    with a 0 at the sentinel V, and returns V entries in vertex order."""
+    n, plan = dag.vertex_count, dag._projection_plan
+    unbound = plan.bind == UNBOUND
     ways = np.zeros(n + 1, dtype=object)
-    ways[dag.terminal] = 1
+    ways[plan.pos[dag.terminal]] = 1
     free = ways * unbound
-    for wave in dag._projection_plan:
-        for tab, src in wave:
-            ways[src] = ways[tab].sum(axis=0)
-            free[src] = free[tab].sum(axis=0) * unbound[src]
-    return ways[:n], (ways - free)[:n]
+    for wave in plan.waves:
+        for a, tab in wave:
+            b = a + tab.shape[1]
+            ways[a:b] = ways[tab].sum(axis=0)
+            free[a:b] = free[tab].sum(axis=0) * unbound[a:b]
+    at = plan.pos[:n]
+    return ways[at], ways[at] - free[at]
 
 
 def _bound_path_counts(dag: Dag) -> tuple[np.ndarray, np.ndarray]:
@@ -478,18 +528,18 @@ def build_layer_graph(p: int, k: int, d: int) -> Dag:
     p, k, d = int(p), int(k), int(d)
     m = _layer_width(p, k, d)
 
-    layer = [np.arange(1 + i * m, 1 + (i + 1) * m, dtype=np.int64) for i in range(k)]
-    srcs = [np.zeros(m, dtype=np.int64)]
-    dsts = [layer[0]]
-    offs = np.arange(d, dtype=np.int64)
-    for i in range(k - 1):
-        j = np.arange(m, dtype=np.int64)
-        srcs.append(np.repeat(layer[i], d))
-        dsts.append(layer[i + 1][((j[:, None] + offs[None, :]) % m).ravel()])
-    srcs.append(layer[-1])
-    dsts.append(np.full(m, p - 1, dtype=np.int64))
-    edges = np.column_stack((np.concatenate(srcs), np.concatenate(dsts)))
-    del layer, srcs, dsts
+    # one (E, 2) edge array, filled in place: the source's m edges, the
+    # (k - 1) * m * d edges between layers, the last layer's m edges
+    edges = np.empty((m * (2 + (k - 1) * d), 2), dtype=np.int64)
+    edges[:m, 0] = 0
+    edges[:m, 1] = np.arange(1, m + 1)
+    wired = edges[m:-m].reshape(k - 1, m * d, 2)
+    first = 1 + m * np.arange(k - 1, dtype=np.int64)[:, None]  # of layers 0..k-2
+    np.add(np.repeat(np.arange(m), d), first, out=wired[:, :, 0])
+    np.add(((np.arange(m)[:, None] + np.arange(d)) % m).ravel(), first + m,
+           out=wired[:, :, 1])
+    edges[-m:, 0] = np.arange(p - 1 - m, p - 1)
+    edges[-m:, 1] = p - 1
     return Dag(p, edges, source=0, terminal=p - 1, binding=np.arange(p), dim=p)
 
 

@@ -10,12 +10,14 @@ so the winning path is the one with the largest restricted norm.
 
 The path search is a single longest-path pass over the DAG, linear in
 |V| + |E|, followed by a walk from the source that reads the path off the DP
-values. The pass runs over the padded neighbour tables of
-``Dag._projection_plan``: per table, one gather of the DP values and a max
-along the table's first axis, the padding's sentinel id reading an extra
--inf row. ``_paths`` is the one pipeline that runs them, for a (dim,)
-vector or the columns of a (dim, B) block alike: DP, overflow check, walk,
-sorted supports and the degenerate fallback. ``project`` is its one-column
+values. The pass runs in the plan positions of ``Dag._projection_plan``:
+it starts from each position's squared weight and, per padded neighbour
+table, adds to the table's slice of positions one gather of the DP values
+maxed along the table's first axis, the padding's sentinel reading an extra
+-inf row. The walk steps through vertex ids and reads the DP values through
+the plan's ``pos``. ``_paths`` is the one pipeline that runs them, for a
+(dim,) vector or the columns of a (dim, B) block alike: DP, overflow check,
+walk, sorted supports and the degenerate fallback. ``project`` is its one-column
 case, the sampler projects its candidates through it in chunks and the
 power methods their running starts, one block per iteration, so single and
 batched projections agree bit for bit, tie-break included.
@@ -41,22 +43,27 @@ class ProjectedVector:
 
 
 def _best_to_terminal(dag: Dag, sq: np.ndarray) -> np.ndarray:
-    """best[v] = max over S-T-suffix paths starting at v of the summed vertex
-    weight, -inf where the terminal is unreachable; for a vector or per
-    column of a block. ``sq`` holds the variables' weights, (dim + 1,) or
+    """best[pos[v]] = max over S-T-suffix paths starting at v of the summed
+    vertex weight, -inf where the terminal is unreachable; for a vector or
+    per column of a block, ``pos`` being the plan's map from vertex ids to
+    positions. ``sq`` holds the variables' weights, (dim + 1,) or
     (dim + 1, B), its last row 0: an unbound vertex's binding -1 reads it.
-    Returns V + 1 rows, row V being -inf for the tables' sentinel padding."""
-    bind = dag.binding
-    best = np.full((dag.vertex_count + 1,) + sq.shape[1:], -np.inf)
-    best[dag.terminal] = sq[bind[dag.terminal]]
-    for wave in dag._projection_plan:
-        for tab, src in wave:
-            best[src] = sq[bind[src]] + best[tab].max(axis=0)
+    Every position starts at its weight; those after the terminal's (the
+    vertices with no out-edge, then the sentinel) are -inf, and each table
+    group adds the max over its targets to its slice in plan order. Returns
+    V + 1 rows, row V being -inf for the tables' sentinel padding."""
+    plan = dag._projection_plan
+    best = sq[plan.bind]
+    best[plan.pos[dag.terminal] + 1:] = -np.inf
+    for wave in plan.waves:
+        for a, tab in wave:
+            best[a:a + tab.shape[1]] += best[tab].max(axis=0)
     return best
 
 
 def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
-    """Greedy descent through the (V + 1, B) DP values, every column at once.
+    """Greedy descent through the (V + 1, B) DP values, every column at once;
+    ``best`` is in plan positions and read through the plan's ``pos``.
 
     Each step moves each column that has not reached the terminal to its
     smallest out-neighbor attaining the largest ``best``; this yields the
@@ -65,7 +72,8 @@ def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
     """
     # A finite best[source] means every vertex the walk visits before the
     # terminal has a successor with finite best, so the steps need no checks.
-    if (best[dag.source] == -np.inf).any():
+    pos = dag._projection_plan.pos
+    if (best[pos[dag.source]] == -np.inf).any():
         raise GraphStructureError("terminal unreachable from source")
     act = np.arange(best.shape[1])
     cur = np.full(act.size, dag.source, dtype=np.int64)
@@ -77,7 +85,7 @@ def _walk(dag: Dag, best: np.ndarray) -> np.ndarray:
             if not act.size:
                 break
         cnt, offs, nb = _csr_gather(dag._indptr, dag._indices, cur)
-        vals = best[nb, np.repeat(act, cnt)]
+        vals = best[pos[nb], np.repeat(act, cnt)]
         hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, offs), cnt))
         cur = nb[hit[np.searchsorted(hit, offs)]]
         steps.append((act, cur))
@@ -112,7 +120,8 @@ def _paths(dag: Dag, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     sq = np.zeros((dag.dim + 1,) + w.shape[1:])
     np.square(w, out=sq[:-1])
     best = _best_to_terminal(dag, sq)
-    if not np.all(best[dag.source] < np.inf):  # +inf or nan: a square overflowed
+    top = best[dag._projection_plan.pos[dag.source]]
+    if not np.all(top < np.inf):  # +inf or nan: a square overflowed
         raise ValueError("input vector too large: its squares overflow")
     verts = _walk(dag, best.reshape(best.shape[0], -1))
     sup, counts = _sorted_supports(dag, verts)

@@ -74,6 +74,16 @@ def random_dag(rng, max_interior: int = 38, max_paths: int = 5000) -> Dag:
         return dag
 
 
+def hub_dag() -> Dag:
+    """A graph whose wave 1 holds the hub 1, of out-degree 1100, and the
+    1000 vertices 2..1001 of out-degree 1, all bound by identity."""
+    hub, singles, mids, t = 1, range(2, 1002), range(1002, 2102), 2102
+    edges = [(0, hub)] + [(0, v) for v in singles] + [(hub, m) for m in mids]
+    edges += [(v, mids[i % len(mids)]) for i, v in enumerate(singles)]
+    edges += [(m, t) for m in mids]
+    return Dag(t + 1, edges, 0, t)
+
+
 def reference_store(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """The CSR edge store (indptr, indices) by a lexicographic sort of the
     edge rows and a row-compare dedupe: an independent build of

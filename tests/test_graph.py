@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pathpca import (
+    UNBOUND,
     Dag,
     GraphStructureError,
     build_group_graph,
@@ -18,7 +19,7 @@ from pathpca import (
     validate,
 )
 
-from helpers import random_dag, reference_plan, reference_store
+from helpers import hub_dag, random_dag, reference_plan, reference_store
 
 
 def diamond():
@@ -171,11 +172,16 @@ class TestEdgeStore:
 class TestPlanOracle:
     """The edge store equals that of the lexsort construction
     (``helpers.reference_store``) array for array, dtypes included, and the
-    plan has one wave per ``reference_plan`` level: its tables' sources are
-    the level's, each table's columns hold their sources' runs of targets,
-    padded with exactly the sentinel id V, every degree in a table is more
-    than half its height, and the tables hold fewer than 2|E| entries. A
-    graph with a cycle fails in both."""
+    plan has one wave per ``reference_plan`` level. Its ``pos`` is a
+    permutation of 0..V with pos[V] = V, ``order`` its inverse; its groups
+    tile [0, a_end) in plan order, each group's ``order[a:b]`` holding
+    sources of its level and each level's sources all in its groups; each
+    table column maps back through ``order`` to its source's run of
+    targets, padded with exactly the sentinel V; every degree in a table is
+    more than half its height, and the tables hold fewer than 2|E| entries.
+    After the groups come the terminal, the other vertices with no out-edge
+    ascending and the sentinel; ``bind`` is the binding read in that order.
+    A graph with a cycle fails in both."""
 
     def check(self, d, edges):
         indptr, indices = reference_store(d.vertex_count, edges)
@@ -187,25 +193,34 @@ class TestPlanOracle:
                 d._projection_plan
             assert "graph contains a cycle" in validate(d).violations
             return
-        got = d._projection_plan
-        assert len(got) == len(want)
-        entries = plan_edges = 0
-        for wave, (ed, runs, src) in zip(got, want):
+        n, got = d.vertex_count, d._projection_plan
+        assert got.pos.dtype == got.bind.dtype == np.int64
+        assert np.array_equal(np.sort(got.pos), np.arange(n + 1)) and got.pos[n] == n
+        order = np.argsort(got.pos)
+        assert np.array_equal(got.bind, np.append(d.binding, UNBOUND)[order])
+        assert len(got.waves) == len(want)
+        entries = plan_edges = end = 0
+        for wave, (ed, runs, src) in zip(got.waves, want):
             run = dict(zip(src.tolist(), np.split(ed, runs[1:])))
             sources = []
-            for tab, s in wave:
-                assert tab.dtype == s.dtype == np.int64
-                assert tab.shape == (tab.shape[0], s.size)
-                for col, v in zip(tab.T, s.tolist()):
+            for a, tab in wave:
+                assert a == end
+                end = a + tab.shape[1]
+                assert tab.dtype == np.int64 and tab.ndim == 2
+                for col, v in zip(tab.T, order[a:end].tolist()):
                     targets = run[v]
-                    assert np.array_equal(col[:targets.size], targets)
-                    assert np.all(col[targets.size:] == d.vertex_count)
+                    assert np.array_equal(order[col[:targets.size]], targets)
+                    assert np.all(col[targets.size:] == n)
                     assert 2 * targets.size > tab.shape[0]
-                sources += s.tolist()
+                sources += order[a:end].tolist()
                 entries += tab.size
             assert sorted(sources) == src.tolist()
             plan_edges += ed.size
         assert entries < 2 * plan_edges or entries == plan_edges == 0
+        rest = order[end:]
+        assert rest[0] == d.terminal and rest[-1] == n
+        assert np.all(np.diff(rest[1:-1]) > 0)
+        assert np.all(indptr[rest[1:-1]] == indptr[rest[1:-1] + 1])
 
     def test_random_dags_with_shuffled_edges(self):
         rng = np.random.default_rng(41)
@@ -238,6 +253,33 @@ class TestPlanOracle:
                   *AWKWARD.values()]
         for g in graphs:
             self.check(g, g.edges())
+
+    def test_hub_graph(self):
+        g = hub_dag()
+        self.check(g, g.edges())
+
+
+class TestPlanMemory:
+    """Building the plan leaves it holding its tables and two (V + 1,) int64
+    arrays, ``pos`` and ``bind``, and no more: the tables are mapped to
+    positions in place and no per-group source array is kept."""
+
+    @pytest.mark.parametrize("graph", [lambda: build_layer_graph(100_002, 10, 4),
+                                       hub_dag], ids=["layer", "hub"])
+    def test_plan_holds_its_tables_and_two_position_arrays(self, graph):
+        g = graph()
+        build_layer_graph(34, 4, 8)._projection_plan  # a first build imports modules
+        tracemalloc.start()
+        try:
+            plan = g._projection_plan
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tables = sum(tab.nbytes for wave in plan.waves for _, tab in wave)
+        assert plan.pos.nbytes + plan.bind.nbytes == 2 * 8 * (g.vertex_count + 1)
+        # the lists and tuples of the waves are Python objects, not arrays
+        objects = 1024 * (1 + sum(len(wave) for wave in plan.waves))
+        assert held <= tables + 2 * 8 * (g.vertex_count + 1) + objects
 
 
 class TestReversePasses:
@@ -517,6 +559,22 @@ class TestLayerGraph:
             assert len(p.vertices) == 4
             assert 1 <= p.vertices[1] <= 5
             assert 6 <= p.vertices[2] <= 10
+
+    @pytest.mark.parametrize("p,k,d", [(12, 1, 1), (12, 1, 10), (12, 5, 1),
+                                       (12, 5, 2), (34, 4, 8), (1026, 8, 4)])
+    def test_csr_matches_the_edge_list_construction(self, p, k, d):
+        # the edge list of the layer graph's definition, layer by layer
+        m = (p - 2) // k
+        layer = [list(range(1 + i * m, 1 + (i + 1) * m)) for i in range(k)]
+        edges = [(0, v) for v in layer[0]] + [(v, p - 1) for v in layer[-1]]
+        for a, b in zip(layer[:-1], layer[1:]):
+            edges += [(a[j], b[(j + t) % m]) for j in range(m) for t in range(d)]
+        indptr, indices = reference_store(p, edges)
+        g = build_layer_graph(p, k, d)
+        assert np.array_equal(g._indptr, indptr) and np.array_equal(g._indices, indices)
+        assert g.edge_count == m * (2 + (k - 1) * d)
+        assert (g.source, g.terminal, g.dim) == (0, p - 1, p)
+        assert g.binding.tolist() == list(range(p))
 
     def test_deterministic(self):
         assert build_layer_graph(18, 4, 4) == build_layer_graph(18, 4, 4)

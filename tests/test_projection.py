@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from pathpca import (Dag, GraphStructureError, build_layer_graph, enumerate_paths,
-                     is_st_path, project)
+from pathpca import (UNBOUND, Dag, GraphStructureError, build_layer_graph,
+                     enumerate_paths, is_st_path, project)
 from pathpca.projection import (_best_to_terminal, _paths, _sorted_supports,
                                 _unit_on, _walk)
 
-from helpers import assert_feasible, oracle_best_objective, random_dag, reference_best
+from helpers import (assert_feasible, hub_dag, oracle_best_objective, random_dag,
+                     reference_best)
 
 
 def diamond():
@@ -326,15 +327,15 @@ class TestBlockProjection:
 
 
 class TestReferenceDP:
-    """``_best_to_terminal`` over the padded neighbour tables equals the
-    ``reduceat`` DP over the reference plan (``helpers.reference_best``) bit
-    for bit, and its row V, which the tables' sentinel padding reads, is
-    -inf."""
+    """``_best_to_terminal`` over the padded neighbour tables, read through
+    the plan's ``pos``, equals the ``reduceat`` DP over the reference plan
+    (``helpers.reference_best``) bit for bit, and its row V, which the
+    tables' sentinel padding reads, is -inf."""
 
     def check(self, d, w2):
         got, want = _dp(d, w2), reference_best(d, w2)
         assert got.shape == (d.vertex_count + 1,) + w2.shape[1:]
-        assert got[:-1].tobytes() == want.tobytes()
+        assert got[d._projection_plan.pos[:-1]].tobytes() == want.tobytes()
         assert np.all(got[-1] == -np.inf)
 
     def test_random_dags(self):
@@ -369,20 +370,51 @@ class TestReferenceDP:
                     binding=np.append(d.binding, np.arange(d.dim, d.dim + extra)),
                     dim=d.dim + extra)
             w = rng.standard_normal((g.dim, 3))
-            assert np.all(_dp(g, w * w)[n:n + extra] == -np.inf)
+            assert np.all(_dp(g, w * w)[g._projection_plan.pos[n:n + extra]] == -np.inf)
             self.check(g, w[:, 0] ** 2)
             self.check(g, w * w)
 
+    def test_bound_and_unbound_terminal(self):
+        # the terminal's position starts at its own weight, or at 0 unbound
+        rng = np.random.default_rng(251)
+        for _ in range(30):
+            d = random_dag(rng, max_interior=20)
+            for var in (UNBOUND, d.dim):
+                binding = d.binding.copy()
+                binding[d.terminal] = var
+                g = Dag(d.vertex_count, d.edges(), d.source, d.terminal,
+                        binding=binding, dim=d.dim + 1)
+                w = rng.standard_normal((g.dim, 3))
+                self.check(g, w[:, 0] ** 2)
+                self.check(g, w * w)
+
+    def test_dead_ends_before_the_terminal_in_id_order(self):
+        # every vertex id moves up by six, and the six dead ends 0..5, each
+        # fed by a vertex of the graph, take ids below the terminal's; all
+        # but the first bind a variable, yet their best is -inf
+        rng = np.random.default_rng(257)
+        for _ in range(30):
+            d = random_dag(rng, max_interior=20)
+            n, extra = d.vertex_count, 6
+            feeders = [v for v in range(n) if v != d.terminal]
+            edges = (d.edges() + extra).tolist()
+            edges += [(int(rng.choice(feeders)) + extra, x) for x in range(extra)]
+            binding = np.concatenate(([UNBOUND], np.arange(d.dim, d.dim + extra - 1),
+                                      d.binding))
+            g = Dag(n + extra, edges, d.source + extra, d.terminal + extra,
+                    binding=binding, dim=d.dim + extra - 1)
+            w = rng.standard_normal((g.dim, 3))
+            assert np.all(_dp(g, w * w)[g._projection_plan.pos[:extra]] == -np.inf)
+            self.check(g, w[:, 0] ** 2)
+            self.check(g, w * w)
+            pv = project(g, w[:, 0])
+            assert pv.x @ w[:, 0] == pytest.approx(oracle_best_objective(g, w[:, 0]))
+
     def test_hub_sharing_its_wave_with_out_degree_one_vertices(self):
-        # wave 1 holds the hub 1, of out-degree 1100, and the 1000 vertices
-        # 2..1001 of out-degree 1; the hub gets a table of its own
-        hub, singles, mids, t = 1, range(2, 1002), range(1002, 2102), 2102
-        edges = [(0, hub)] + [(0, v) for v in singles] + [(hub, m) for m in mids]
-        edges += [(v, mids[i % len(mids)]) for i, v in enumerate(singles)]
-        edges += [(m, t) for m in mids]
-        d = Dag(t + 1, edges, 0, t)
-        assert sorted(tab.shape for tab, _ in d._projection_plan[1]) == [(1, 1000),
-                                                                          (1100, 1)]
+        # the hub gets a table of its own, beside its wave's out-degree-1 one
+        d = hub_dag()
+        assert sorted(tab.shape for _, tab in d._projection_plan.waves[1]) == [
+            (1, 1000), (1100, 1)]
         w = np.random.default_rng(241).standard_normal((d.dim, 4))
         self.check(d, w[:, 0] ** 2)
         self.check(d, w * w)

@@ -1334,9 +1334,9 @@ class TestSampleAndProjectBlock:
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(solvers, "_paths", paths)
         dag = build_layer_graph(130, 8, 4)
-        plan = dag._projection_plan
-        table = max(tab.size for wave in plan for tab, _ in wave)
-        steps = len(plan) + 1
+        waves = dag._projection_plan.waves
+        table = max(tab.size for wave in waves for _, tab in wave)
+        steps = len(waves) + 1
         sigma = random_psd(130, np.random.default_rng(313))
         cfg = SampleProjectConfig(rank=2, budget=500, seed=1)
         res = sample_and_project(sigma, dag, cfg)
